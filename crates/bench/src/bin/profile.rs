@@ -1,6 +1,6 @@
 //! Telemetry profile of the blur design: runs the same frame workload
-//! under the full-sweep, event-driven, parallel and lowered scheduler
-//! modes with full instrumentation, checks the cross-mode telemetry
+//! under the full-sweep, event-driven and lowered scheduler modes with
+//! full instrumentation, checks the cross-mode telemetry
 //! invariants, and writes
 //! `BENCH_profile.json` (counter summary) plus
 //! `BENCH_profile.trace.json` (Chrome trace-event spans, loadable in
@@ -55,17 +55,10 @@ fn mode_json(label: &str, stats: &SimStats) -> String {
     let _ = writeln!(out, "      \"total_toggles\": {},", stats.total_toggles());
     let _ = writeln!(out, "      \"total_drives\": {},", stats.total_drives());
     let _ = writeln!(out, "      \"max_wake\": {},", stats.max_wake);
-    let _ = writeln!(out, "      \"parallel_waves\": {},", stats.parallel_waves);
-    let _ = writeln!(out, "      \"inline_waves\": {},", stats.inline_waves);
     let _ = writeln!(
         out,
         "      \"fallback_settles\": {},",
         stats.fallback_settles
-    );
-    let _ = writeln!(
-        out,
-        "      \"compiled_settles\": {},",
-        stats.compiled_settles
     );
     let _ = writeln!(out, "      \"lowered_settles\": {},", stats.lowered_settles);
     let _ = writeln!(out, "      \"ops_executed\": {},", stats.ops_executed);
@@ -76,8 +69,6 @@ fn mode_json(label: &str, stats: &SimStats) -> String {
     let _ = writeln!(out, "      \"fallback_causes\": {{{}}},", causes.join(", "));
     let notes: Vec<String> = stats.notes.iter().map(|n| json_string(n)).collect();
     let _ = writeln!(out, "      \"notes\": [{}],", notes.join(","));
-    let islands: Vec<String> = stats.island_sizes.iter().map(u64::to_string).collect();
-    let _ = writeln!(out, "      \"island_sizes\": [{}],", islands.join(","));
     let _ = writeln!(out, "      \"trace_spans\": {},", stats.trace.len());
     out.push_str("      \"components_by_evals\": [\n");
     let mut comps: Vec<_> = stats.components.iter().collect();
@@ -145,17 +136,14 @@ fn validate_artifacts(profile: &str, trace: &str) -> Vec<String> {
         "\"modes\"",
         "\"full_sweep\"",
         "\"event_driven\"",
-        "\"parallel\"",
         "\"lowered\"",
         "\"lowered_settles\"",
         "\"ops_executed\"",
         "\"total_evals\"",
         "\"total_toggles\"",
-        "\"island_sizes\"",
         "\"components_by_evals\"",
         "\"signals_by_toggles\"",
         "\"invariants\"",
-        "\"eval_counts_event_eq_parallel\": true",
         "\"toggle_counts_mode_invariant\": true",
         "\"trace_file\"",
     ] {
@@ -166,7 +154,7 @@ fn validate_artifacts(profile: &str, trace: &str) -> Vec<String> {
     // Per-mode schema: every mode section carries the full counter
     // set, and the lowered counters are pinned to the scheduler that
     // produced them — only the lowered mode executes op streams.
-    for label in ["full_sweep", "event_driven", "parallel", "lowered"] {
+    for label in ["full_sweep", "event_driven", "lowered"] {
         let Some(section) = mode_section(profile, label) else {
             problems.push(format!("{PROFILE_JSON}: missing mode section {label}"));
             continue;
@@ -174,7 +162,6 @@ fn validate_artifacts(profile: &str, trace: &str) -> Vec<String> {
         for key in [
             "settles",
             "lowered_settles",
-            "compiled_settles",
             "fallback_settles",
             "ops_executed",
             "fallback_causes",
@@ -253,37 +240,16 @@ fn main() {
 
     let sweep = profile_mode(&frame, SchedMode::FullSweep);
     let event = profile_mode(&frame, SchedMode::EventDriven);
-    let threads = match SchedMode::parallel() {
-        SchedMode::Parallel { threads } => threads.max(2),
-        _ => unreachable!(),
-    };
-    let parallel = profile_mode(&frame, SchedMode::Parallel { threads });
     let lowered = profile_mode(&frame, SchedMode::Lowered);
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     // Cross-mode telemetry invariants (the same invariants the test
     // suite proves on the proptest families, checked here on the real
-    // blur workload): parallel waves are the event scheduler's wake
-    // sets, so eval counts match exactly; settled toggle activity is
-    // identical in every mode because the waveforms are bit-identical.
-    // The full sweep evaluates everything every pass, so its eval
-    // count is the upper bound the others are measured against.
-    assert_eq!(
-        event.total_evals(),
-        parallel.total_evals(),
-        "event and parallel eval counts must be bit-identical"
-    );
-    for (c, rc) in parallel.components.iter().zip(&event.components) {
-        assert_eq!(
-            (c.name.as_str(), c.evals),
-            (rc.name.as_str(), rc.evals),
-            "per-component eval counts must match"
-        );
-    }
-    for (label, stats) in [
-        ("event", &event),
-        ("parallel", &parallel),
-        ("lowered", &lowered),
-    ] {
+    // blur workload): settled toggle activity is identical in every
+    // mode because the waveforms are bit-identical. The full sweep
+    // evaluates everything every pass, so its eval count is the upper
+    // bound the others are measured against.
+    for (label, stats) in [("event", &event), ("lowered", &lowered)] {
         assert_eq!(
             stats.total_toggles(),
             sweep.total_toggles(),
@@ -304,9 +270,10 @@ fn main() {
     print!("{}", event.report());
     println!();
     println!(
-        "  cross-mode: sweep evals {} | event = parallel evals {} | toggles {} (all modes)",
+        "  cross-mode: sweep evals {} | event evals {} | lowered evals {} | toggles {} (all modes)",
         sweep.total_evals(),
         event.total_evals(),
+        lowered.total_evals(),
         event.total_toggles()
     );
 
@@ -318,15 +285,13 @@ fn main() {
         "  \"workload\": {{\"design\": \"blur\", \"width\": {WIDTH}, \"height\": {HEIGHT}, \"gap\": {GAP}}},"
     );
     json.push_str("  \"telemetry_level\": \"Full\",\n");
-    let _ = writeln!(json, "  \"parallel_threads\": {threads},");
+    let _ = writeln!(json, "  \"host_threads\": {host},");
     json.push_str("  \"modes\": {\n");
     let _ = writeln!(json, "{},", mode_json("full_sweep", &sweep));
     let _ = writeln!(json, "{},", mode_json("event_driven", &event));
-    let _ = writeln!(json, "{},", mode_json("parallel", &parallel));
     let _ = writeln!(json, "{}", mode_json("lowered", &lowered));
     json.push_str("  },\n");
     json.push_str("  \"invariants\": {\n");
-    json.push_str("    \"eval_counts_event_eq_parallel\": true,\n");
     json.push_str("    \"toggle_counts_mode_invariant\": true,\n");
     json.push_str("    \"sweep_evals_upper_bound\": true\n");
     json.push_str("  },\n");

@@ -1,9 +1,9 @@
 //! Scheduling-mode performance matrix, the start of the perf
 //! trajectory record: times the blur-filter frame workload under the
-//! full-sweep, event-driven, parallel, compiled and lowered
-//! schedulers, plus the multi-design batch runner at 1 and N worker
-//! threads and the 64-way bit-parallel [`LaneBatch`] engine, and
-//! writes the numbers to `BENCH_sched_modes.json`.
+//! full-sweep, event-driven and lowered schedulers, plus the
+//! multi-design batch runner at 1 and N worker threads and the 64-way
+//! bit-parallel [`LaneBatch`] engine, and writes the numbers to
+//! `BENCH_sched_modes.json`.
 //!
 //! Every configuration is asserted bit-identical against the
 //! full-sweep reference before any time is measured; every lane of
@@ -170,12 +170,10 @@ fn main() {
     let frame = Frame::noise(WIDTH, HEIGHT, PixelFormat::Gray8, 11);
     let budget = budget(&frame);
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    // Always record a >=2-worker point, even on single-core hosts
-    // (there it measures scheduling overhead rather than speedup).
-    let threads = match SchedMode::parallel() {
-        SchedMode::Parallel { threads } => threads.max(2),
-        _ => unreachable!(),
-    };
+    // Always record a >=2-worker batch point, even on single-core
+    // hosts (there it measures scheduling overhead rather than
+    // speedup).
+    let threads = host.clamp(2, 8);
 
     // Bit-identity gate: no timing without agreement.
     let reference = {
@@ -184,8 +182,6 @@ fn main() {
     };
     for (label, mode) in [
         ("event", SchedMode::EventDriven),
-        ("parallel", SchedMode::Parallel { threads }),
-        ("compiled", SchedMode::Compiled),
         ("lowered", SchedMode::Lowered),
     ] {
         let (mut sim, sink) = build(&frame, mode, true);
@@ -199,15 +195,13 @@ fn main() {
     println!("Scheduling-mode matrix — blur 32x8, gap {GAP} ({REPS} reps)");
     println!();
     // Timed runs stay at TelemetryLevel::Off (the zero-cost default);
-    // a separate instrumented run per mode records the wave/island
-    // shape behind each number.
+    // a separate instrumented run per mode records the activity shape
+    // behind each number.
     let mut single = Vec::new();
     let mut shapes: Vec<(&str, SimStats)> = Vec::new();
     for (label, mode, incremental) in [
         ("full_sweep", SchedMode::FullSweep, false),
         ("event_driven", SchedMode::EventDriven, true),
-        ("parallel", SchedMode::Parallel { threads }, true),
-        ("compiled", SchedMode::Compiled, true),
         ("lowered", SchedMode::Lowered, true),
     ] {
         let ms = time_ms(|| {
@@ -285,13 +279,13 @@ fn main() {
         .find(|(l, _)| *l == "event_driven")
         .expect("event timing recorded")
         .1;
-    let compiled_ms = single
+    let lowered_ms = single
         .iter()
-        .find(|(l, _)| *l == "compiled")
-        .expect("compiled timing recorded")
+        .find(|(l, _)| *l == "lowered")
+        .expect("lowered timing recorded")
         .1;
-    let compiled_speedup = event_ms / compiled_ms;
-    println!("  compiled speedup {compiled_speedup:.2}x vs event-driven (single sim)");
+    let lowered_speedup = event_ms / lowered_ms;
+    println!("  lowered speedup {lowered_speedup:.2}x vs event-driven (single sim, blur frame)");
 
     // 64-way lane engine: one packed run carries 64 independent
     // stimuli, refereed lane by lane against scalar event-driven runs
@@ -324,14 +318,14 @@ fn main() {
         std::hint::black_box(scalar_lane_run(&pipe, &stims[0]));
     });
     let per_lane_ms = packed64_ms / LANES as f64;
-    let lowered_speedup = scalar_event_ms / per_lane_ms;
+    let lane64_speedup = scalar_event_ms / per_lane_ms;
     println!();
     println!(
         "  lane64 pipeline ({LANE_STAGES} stages x {LANE_WIDTH} bits, {LANE_CYCLES} cycles): \
          packed {packed64_ms:.3} ms for {LANES} lanes ({per_lane_ms:.4} ms/lane), \
          scalar event-driven {scalar_event_ms:.3} ms/run"
     );
-    println!("  lowered speedup {lowered_speedup:.2}x vs event-driven (per packed lane)");
+    println!("  lane64 speedup {lane64_speedup:.2}x vs event-driven (per packed lane)");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -356,29 +350,22 @@ fn main() {
     }
     json.push_str("  },\n");
     // Per-run scheduler shape from an instrumented (Counters) rerun of
-    // each single-sim configuration: island partition, wave fan-out
-    // and activity totals.
+    // each single-sim configuration: activity totals and fallbacks.
     json.push_str("  \"telemetry\": {\n");
     for (i, (label, stats)) in shapes.iter().enumerate() {
         let sep = if i + 1 == shapes.len() { "" } else { "," };
-        let islands: Vec<String> = stats.island_sizes.iter().map(u64::to_string).collect();
         let _ = writeln!(
             json,
             "    \"{label}\": {{\"evals\": {}, \"delta_passes\": {}, \"max_wake\": {}, \
-             \"toggles\": {}, \"parallel_waves\": {}, \"inline_waves\": {}, \
-             \"fallback_settles\": {}, \"compiled_settles\": {}, \"lowered_settles\": {}, \
-             \"ops_executed\": {}, \"island_sizes\": [{}]}}{sep}",
+             \"toggles\": {}, \"fallback_settles\": {}, \"lowered_settles\": {}, \
+             \"ops_executed\": {}}}{sep}",
             stats.total_evals(),
             stats.passes,
             stats.max_wake,
             stats.total_toggles(),
-            stats.parallel_waves,
-            stats.inline_waves,
             stats.fallback_settles,
-            stats.compiled_settles,
             stats.lowered_settles,
             stats.ops_executed,
-            islands.join(","),
         );
     }
     json.push_str("  },\n");
@@ -389,14 +376,13 @@ fn main() {
          \"packed_ms\": {packed64_ms:.4}, \"per_lane_ms\": {per_lane_ms:.4}, \
          \"scalar_event_ms\": {scalar_event_ms:.4}}},"
     );
-    let _ = writeln!(
-        json,
-        "  \"compiled_speedup_vs_event\": {compiled_speedup:.4},"
-    );
+    // Scalar blur frame, one simulator: event-driven ms / lowered ms.
     let _ = writeln!(
         json,
         "  \"lowered_speedup_vs_event\": {lowered_speedup:.4},"
     );
+    // Lane workload: scalar event-driven ms / (packed ms / 64 lanes).
+    let _ = writeln!(json, "  \"lane64_speedup_vs_event\": {lane64_speedup:.4},");
     // A one-worker host cannot measure thread scaling; a sub-1.0
     // "speedup" there is scheduling overhead, not a regression.
     if host == 1 {

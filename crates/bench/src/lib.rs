@@ -38,7 +38,7 @@ use hdp_sim::{NetlistComponent, SchedMode, SignalId, SimError, Simulator, Teleme
 ///     DesignParams::small(8),
 ///     (0..16).collect(),
 /// )
-/// .mode(SchedMode::Compiled);
+/// .mode(SchedMode::Lowered);
 /// let (mut sim, sink) = hdp_bench::build_design_sim(&spec).unwrap();
 /// let frame = hdp_bench::run_design_sim(&mut sim, sink, 4000);
 /// assert_eq!(frame.len(), 16);
@@ -273,8 +273,9 @@ pub fn run_design_sim(sim: &mut Simulator, sink: hdp_sim::ComponentId, budget: u
 /// workers). Returns each design's first frame in input order —
 /// frame-throughput workloads (the paper's video pipelines processing
 /// a stream of frames, or a design-space sweep) are embarrassingly
-/// parallel at this granularity, complementing the intra-simulation
-/// parallelism of [`SchedMode::Parallel`].
+/// parallel at this granularity, so this is where `hdp` runs
+/// simulation work in parallel; a single simulation stays on one
+/// thread.
 ///
 /// # Panics
 ///
@@ -323,7 +324,7 @@ mod tests {
                 let mode = if i % 2 == 0 {
                     SchedMode::EventDriven
                 } else {
-                    SchedMode::parallel()
+                    SchedMode::Lowered
                 };
                 build_design_sim(&base.clone().mode(mode)).unwrap()
             })

@@ -4,26 +4,26 @@
 //! This crate closes the loop between the pattern generators
 //! (`hdp-metagen`), the simulator (`hdp-sim`) and the VHDL emitter
 //! (`hdp-hdl`): it samples random-but-valid designs from the metagen
-//! design space, drives each one with random stimulus through seven
+//! design space, drives each one with random stimulus through five
 //! independent oracles, and demands bit-for-bit agreement every
 //! cycle on every output port:
 //!
 //! 1. `full_sweep` — the simulator re-evaluating every component
 //!    per delta cycle (the reference),
 //! 2. `event_driven` — sensitivity-based scheduling,
-//! 3. `parallel2` — the island-partitioned wave scheduler on two
-//!    threads,
-//! 4. `compiled` — the levelized rank-schedule walk over a
-//!    bit-packed signal arena,
-//! 5. `lowered` — the compiled walk executing flat word-level op
-//!    streams instead of the netlist interpreter,
-//! 6. `levelized` — the non-incremental [`NetlistComponent`] fast
+//! 3. `lowered` — the levelized rank-schedule walk over a bit-packed
+//!    signal arena, executing flat word-level op streams instead of
+//!    the netlist interpreter,
+//! 4. `levelized` — the non-incremental [`NetlistComponent`] fast
 //!    path,
-//! 7. `vhdl_interp` — an interpreter executing the *emitted VHDL
+//! 5. `vhdl_interp` — an interpreter executing the *emitted VHDL
 //!    text* ([`hdp_hdl::interp::VhdlInterp`]), so the comparison
 //!    covers the emitter as well as the netlist semantics.
 //!
-//! [`check_lanes`] adds a throughput-oriented eighth angle: up to 64
+//! That keeps one independent oracle per layer: the generator's
+//! netlist, the netlist interpreter, and the VHDL interpreter.
+//!
+//! [`check_lanes`] adds a throughput-oriented sixth angle: up to 64
 //! random stimuli packed one-per-bit into a single
 //! [`hdp_sim::LaneBatch`] run, each lane refereed against its own
 //! scalar event-driven simulation. Designs the lane engine cannot

@@ -1,9 +1,10 @@
 //! The oracle stack and the differential cycle engine.
 //!
-//! A design conforms when every oracle — the six scheduler/evaluator
+//! A design conforms when every oracle — the four scheduler/evaluator
 //! paths of `hdp-sim` (including the lowered word-level op-stream
 //! mode) plus the executable VHDL model of `hdp_hdl::interp` —
-//! produces bit-identical output-port traces for the same stimulus. Errors participate in the comparison too:
+//! produces bit-identical output-port traces for the same stimulus.
+//! Errors participate in the comparison too:
 //! *error parity* (every oracle failing at the same cycle) is
 //! conforming, because the oracles agree the stimulus left the legal
 //! protocol; an asymmetric error is a divergence like any other.
@@ -16,11 +17,9 @@ use rand::Rng;
 
 /// Display labels of the oracle stack, in comparison order. The
 /// first entry is the reference the others are compared against.
-pub const ORACLE_LABELS: [&str; 7] = [
+pub const ORACLE_LABELS: [&str; 5] = [
     "full_sweep",
     "event_driven",
-    "parallel2",
-    "compiled",
     "lowered",
     "levelized",
     "vhdl_interp",
@@ -326,7 +325,7 @@ fn phase_all(
 
 /// Runs `netlist` through the full oracle stack under `stim`.
 ///
-/// Returns `None` when the design conforms: all seven oracles produce
+/// Returns `None` when the design conforms: all five oracles produce
 /// bit-identical four-state output traces (or all fail at the same
 /// cycle). Returns the first [`Divergence`] otherwise. Oracle
 /// *construction* failures (e.g. the VHDL interpreter rejecting the
@@ -338,8 +337,6 @@ pub fn check(netlist: &Netlist, stim: &Stimulus) -> Option<Divergence> {
     let built: Vec<Result<Oracle, String>> = vec![
         build_sim(netlist, SchedMode::FullSweep, true, stim),
         build_sim(netlist, SchedMode::EventDriven, true, stim),
-        build_sim(netlist, SchedMode::Parallel { threads: 2 }, true, stim),
-        build_sim(netlist, SchedMode::Compiled, true, stim),
         build_sim(netlist, SchedMode::Lowered, true, stim),
         build_sim(netlist, SchedMode::FullSweep, false, stim),
         build_vhdl(netlist, stim),

@@ -62,7 +62,7 @@ pub fn shrink(case: &Case) -> (Case, Option<Divergence>) {
         return (case.clone(), None);
     };
     let mut best = case.clone();
-    // Cap the effort: each accepted reduction re-runs seven oracles.
+    // Cap the effort: each accepted reduction re-runs five oracles.
     let mut budget = 200usize;
     loop {
         let mut reduced = false;

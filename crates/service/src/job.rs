@@ -8,17 +8,19 @@
 //! ```json
 //! {"schema": "hdp-conform-repro-v1", "design": {…}, "stimulus": {…},
 //!  "options": {"mode": "lowered", "vcd": false,
-//!              "telemetry": false, "verify": false, "threads": 2}}
+//!              "telemetry": false, "verify": false}}
 //! ```
 //!
-//! | option      | values                                                           | default   |
-//! |-------------|------------------------------------------------------------------|-----------|
-//! | `mode`      | `lowered`, `compiled`, `event_driven`, `full_sweep`, `parallel`  | `lowered` |
-//! | `threads`   | worker threads for `parallel` mode                               | `2`       |
-//! | `vcd`       | return a VCD waveform (disables plan reuse)                      | `false`   |
-//! | `telemetry` | return a telemetry summary                                       | `false`   |
-//! | `verify`    | re-run cache-free under full sweep and compare                   | `false`   |
-//! | `span`      | return the job's per-stage server-side timeline                  | `false`   |
+//! | option      | values                                            | default   |
+//! |-------------|---------------------------------------------------|-----------|
+//! | `mode`      | `lowered`, `event_driven`, `full_sweep`           | `lowered` |
+//! | `vcd`       | return a VCD waveform (disables plan reuse)       | `false`   |
+//! | `telemetry` | return a telemetry summary                        | `false`   |
+//! | `verify`    | re-run cache-free under full sweep and compare    | `false`   |
+//! | `span`      | return the job's per-stage server-side timeline   | `false`   |
+//!
+//! Mode names are [`SchedMode::label`]s; any other string is refused
+//! with a [`WireError`] on `options.mode`.
 //!
 //! Besides job submissions, the layer answers two control verbs:
 //!
@@ -61,43 +63,21 @@ pub const SELECT_SCHEMA: &str = "hdp-service-select-v1";
 ///
 /// # Errors
 ///
-/// [`WireError`] for a malformed document, unknown mode string, or
-/// out-of-range thread count.
+/// [`WireError`] for a malformed document, an unknown mode string or
+/// a non-boolean flag.
 pub fn parse_job(text: &str) -> Result<(Case, JobOptions), WireError> {
     let case = wire::parse_case(text)?;
     let doc = Json::parse(text).map_err(|detail| WireError::Syntax { detail })?;
     let mut opts = JobOptions::default();
     if let Some(options) = doc.get("options") {
-        let threads = match options.get("threads") {
-            None => 2,
-            Some(v) => {
-                let t = v.as_u64().ok_or_else(|| WireError::Field {
-                    path: "options.threads".into(),
-                    detail: "not a number".into(),
-                })?;
-                usize::try_from(t)
-                    .ok()
-                    .filter(|&t| (1..=256).contains(&t))
-                    .ok_or_else(|| WireError::Field {
-                        path: "options.threads".into(),
-                        detail: format!("{t} outside 1..=256"),
-                    })?
-            }
-        };
         if let Some(mode) = options.get("mode") {
-            opts.mode = match mode.as_str() {
-                Some("lowered") => SchedMode::Lowered,
-                Some("compiled") => SchedMode::Compiled,
-                Some("event_driven") => SchedMode::EventDriven,
-                Some("full_sweep") => SchedMode::FullSweep,
-                Some("parallel") => SchedMode::Parallel { threads },
-                other => {
-                    return Err(WireError::Field {
-                        path: "options.mode".into(),
-                        detail: format!("unknown mode {other:?}"),
-                    })
-                }
-            };
+            let label = mode.as_str();
+            opts.mode = label
+                .and_then(SchedMode::parse)
+                .ok_or_else(|| WireError::Field {
+                    path: "options.mode".into(),
+                    detail: format!("unknown mode {label:?}"),
+                })?;
         }
         for (key, slot) in [
             ("vcd", &mut opts.vcd as &mut bool),
@@ -123,10 +103,6 @@ fn stats_to_json(stats: &SimStats) -> Json {
         ("delta_passes".to_owned(), Json::Num(stats.passes)),
         ("total_evals".to_owned(), Json::Num(stats.total_evals())),
         ("total_toggles".to_owned(), Json::Num(stats.total_toggles())),
-        (
-            "compiled_settles".to_owned(),
-            Json::Num(stats.compiled_settles),
-        ),
         (
             "lowered_settles".to_owned(),
             Json::Num(stats.lowered_settles),
@@ -397,10 +373,10 @@ mod tests {
         let line = job_line(
             3,
             4,
-            "{\"mode\":\"parallel\",\"threads\":4,\"vcd\":true,\"verify\":true}",
+            "{\"mode\":\"event_driven\",\"vcd\":true,\"verify\":true}",
         );
         let (_, opts) = parse_job(&line).unwrap();
-        assert_eq!(opts.mode, SchedMode::Parallel { threads: 4 });
+        assert_eq!(opts.mode, SchedMode::EventDriven);
         assert!(opts.vcd);
         assert!(opts.verify);
         assert!(!opts.telemetry);
@@ -422,12 +398,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_mode() {
-        let line = job_line(3, 4, "{\"mode\":\"warp\"}");
-        assert!(matches!(
-            parse_job(&line),
-            Err(WireError::Field { path, .. }) if path == "options.mode"
-        ));
+    fn rejects_removed_and_unknown_modes() {
+        for mode in ["\"parallel\"", "\"compiled\"", "\"warp\"", "7"] {
+            let line = job_line(3, 4, &format!("{{\"mode\":{mode}}}"));
+            assert!(
+                matches!(
+                    parse_job(&line),
+                    Err(WireError::Field { ref path, .. }) if path == "options.mode"
+                ),
+                "mode {mode} must be refused on options.mode"
+            );
+        }
     }
 
     #[test]

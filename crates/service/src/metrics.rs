@@ -128,22 +128,16 @@ pub enum Counter {
     VerifyFailures,
     /// Jobs executed under [`SchedMode::Lowered`].
     ModeLowered,
-    /// Jobs executed under [`SchedMode::Compiled`].
-    ModeCompiled,
     /// Jobs executed under [`SchedMode::EventDriven`].
     ModeEventDriven,
     /// Jobs executed under [`SchedMode::FullSweep`].
     ModeFullSweep,
-    /// Jobs executed under [`SchedMode::Parallel`].
-    ModeParallel,
     /// Simulator settles absorbed from per-job telemetry (sampled).
     SimSettles,
     /// Simulator delta passes absorbed from per-job telemetry.
     SimDeltaPasses,
     /// Lowered op-stream settles absorbed from per-job telemetry.
     SimLoweredSettles,
-    /// Compiled rank-walk settles absorbed from per-job telemetry.
-    SimCompiledSettles,
     /// Event-driven fallback settles absorbed from per-job telemetry.
     SimFallbackSettles,
     /// Word-level ops executed, absorbed from per-job telemetry.
@@ -164,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 24;
 
     /// Every counter, in table order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -179,14 +173,11 @@ impl Counter {
         Counter::JobsVerify,
         Counter::VerifyFailures,
         Counter::ModeLowered,
-        Counter::ModeCompiled,
         Counter::ModeEventDriven,
         Counter::ModeFullSweep,
-        Counter::ModeParallel,
         Counter::SimSettles,
         Counter::SimDeltaPasses,
         Counter::SimLoweredSettles,
-        Counter::SimCompiledSettles,
         Counter::SimFallbackSettles,
         Counter::SimOpsExecuted,
         Counter::SimPlanInstalls,
@@ -212,14 +203,11 @@ impl Counter {
             Counter::JobsVerify => "jobs_verify",
             Counter::VerifyFailures => "verify_failures",
             Counter::ModeLowered => "mode_lowered",
-            Counter::ModeCompiled => "mode_compiled",
             Counter::ModeEventDriven => "mode_event_driven",
             Counter::ModeFullSweep => "mode_full_sweep",
-            Counter::ModeParallel => "mode_parallel",
             Counter::SimSettles => "sim_settles",
             Counter::SimDeltaPasses => "sim_delta_passes",
             Counter::SimLoweredSettles => "sim_lowered_settles",
-            Counter::SimCompiledSettles => "sim_compiled_settles",
             Counter::SimFallbackSettles => "sim_fallback_settles",
             Counter::SimOpsExecuted => "sim_ops_executed",
             Counter::SimPlanInstalls => "sim_plan_installs",
@@ -231,15 +219,14 @@ impl Counter {
         }
     }
 
-    /// The counter for one scheduler mode.
+    /// The counter for one scheduler mode, named `mode_` followed by
+    /// the mode's [`SchedMode::label`].
     #[must_use]
     pub fn for_mode(mode: SchedMode) -> Counter {
         match mode {
             SchedMode::Lowered => Counter::ModeLowered,
-            SchedMode::Compiled => Counter::ModeCompiled,
             SchedMode::EventDriven => Counter::ModeEventDriven,
             SchedMode::FullSweep => Counter::ModeFullSweep,
-            SchedMode::Parallel { .. } => Counter::ModeParallel,
         }
     }
 }
@@ -437,7 +424,6 @@ impl MetricsRegistry {
         self.add(Counter::SimSettles, stats.settles);
         self.add(Counter::SimDeltaPasses, stats.passes);
         self.add(Counter::SimLoweredSettles, stats.lowered_settles);
-        self.add(Counter::SimCompiledSettles, stats.compiled_settles);
         self.add(Counter::SimFallbackSettles, stats.fallback_settles);
         self.add(Counter::SimOpsExecuted, stats.ops_executed);
         self.add(Counter::SimPlanInstalls, stats.plan_installs);
@@ -943,16 +929,10 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
             "job outcomes {outcomes} (ok + build errors + sim errors) != jobs_total {jobs}"
         ));
     }
-    let by_mode: u64 = [
-        Counter::ModeLowered,
-        Counter::ModeCompiled,
-        Counter::ModeEventDriven,
-        Counter::ModeFullSweep,
-        Counter::ModeParallel,
-    ]
-    .iter()
-    .map(|&c| snap.counter(c))
-    .sum();
+    let by_mode: u64 = SchedMode::ALL
+        .into_iter()
+        .map(|m| snap.counter(Counter::for_mode(m)))
+        .sum();
     if by_mode != jobs {
         problems.push(format!("jobs by mode {by_mode} != jobs_total {jobs}"));
     }
@@ -989,12 +969,12 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
                 ));
             }
         }
-        // Settle-shaped causes reconcile with the absorbed simulator
-        // counters; LoweredComponent counts components, not settles.
+        // Settle-counting causes reconcile with the absorbed simulator
+        // counters; the others count components or steps.
         let settle_causes: u64 = snap
             .fallback_causes
             .iter()
-            .filter(|(c, _)| *c != FallbackCause::LoweredComponent)
+            .filter(|(c, _)| c.counts_settles())
             .map(|(_, n)| n)
             .sum();
         if settle_causes != snap.counter(Counter::SimFallbackSettles) {
@@ -1056,6 +1036,16 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             Counter::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), Counter::COUNT);
+    }
+
+    #[test]
+    fn mode_counters_are_named_by_mode_label() {
+        for mode in SchedMode::ALL {
+            assert_eq!(
+                Counter::for_mode(mode).name(),
+                format!("mode_{}", mode.label())
+            );
+        }
     }
 
     #[test]

@@ -155,7 +155,6 @@ impl JobSpan {
                 cat: "service",
                 ts_ns: s.ts_ns,
                 dur_ns: s.dur_ns,
-                tid: 0,
             })
             .collect();
         SimStats {

@@ -1,7 +1,7 @@
-//! The compiled scheduler's data plane: a bit-packed signal arena and
+//! The lowered scheduler's data plane: a bit-packed signal arena and
 //! the ahead-of-time levelized evaluation schedule that walks it.
 //!
-//! [`crate::SchedMode::Compiled`] freezes a settled design into a
+//! [`crate::SchedMode::Lowered`] freezes a settled design into a
 //! [`CompiledSchedule`]: every signal's value lives in a contiguous
 //! [`SignalArena`] of `u64` words (three logic planes, bit-packed, with
 //! precomputed word/shift offsets), and components are sorted into
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// counts, and the `(signal, driver)` links the validation settle
 /// discovered.
 ///
-/// Exported from a simulator whose [`crate::SchedMode::Compiled`]
+/// Exported from a simulator whose [`crate::SchedMode::Lowered`]
 /// schedule is active ([`crate::Simulator::export_plan`]) and
 /// installed into a *freshly built* simulator of the same design
 /// ([`crate::Simulator::install_plan`]), skipping the levelization

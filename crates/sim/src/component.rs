@@ -1,6 +1,6 @@
 //! The [`Component`] trait implemented by every simulated hardware model.
 
-use crate::signal::{BusAccess, BusReader, DriveLog, SplitBus};
+use crate::signal::BusAccess;
 use crate::{SignalBus, SignalId, SimError};
 
 /// The name of the implicit default clock domain, period 1.
@@ -112,32 +112,15 @@ pub trait Component {
     /// for fixed inputs.
     ///
     /// The bus is handed out as [`BusAccess`] so the same
-    /// implementation serves both the sequential schedulers (which
-    /// pass the exclusive [`SignalBus`]) and the parallel workers
-    /// (which pass a snapshot/log [`SplitBus`]).
+    /// implementation serves both the delta-cycle schedulers (which
+    /// pass the exclusive [`SignalBus`]) and the lowered rank walk
+    /// (which passes a view of its signal arena).
     ///
     /// # Errors
     ///
     /// Implementations report wiring mistakes and protocol violations
     /// as [`SimError`].
     fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError>;
-
-    /// Parallel-mode settle: read from the pass snapshot, append
-    /// drives to the worker's log. The scheduler commits logs in
-    /// registration order, so the observable effect is identical to
-    /// [`Component::eval`] under the sequential event scheduler.
-    ///
-    /// The default wraps `eval` in a [`SplitBus`]; override only to
-    /// exploit the split borrow directly (no component in this repo
-    /// needs to).
-    ///
-    /// # Errors
-    ///
-    /// As [`Component::eval`].
-    fn eval_split(&mut self, reader: &BusReader<'_>, log: &mut DriveLog) -> Result<(), SimError> {
-        let mut split = SplitBus::new(reader, log);
-        self.eval(&mut split)
-    }
 
     /// Clock edge: sample settled inputs and update registered state.
     ///
@@ -206,15 +189,15 @@ pub trait Component {
     }
 
     /// The signals [`Component::eval`] may drive, when statically
-    /// known. The compiled scheduler
-    /// ([`crate::SchedMode::Compiled`]) unions this declaration with
+    /// known. The lowered scheduler
+    /// ([`crate::SchedMode::Lowered`]) unions this declaration with
     /// the drives observed during its validation settle to complete
     /// the write side of its dependency graph before a conditional
     /// drive has ever fired; the other schedulers ignore it.
     ///
     /// The default, `None`, means "discover at runtime" and is always
     /// safe: a drive on a signal the scheduler had not attributed to
-    /// this component merely invalidates the compiled schedule for
+    /// this component merely invalidates the levelized schedule for
     /// one settle. Declaring a superset of the real drive set is also
     /// safe (it only adds dependency edges); omitting a driven signal
     /// from a `Some` list is not an error but forfeits the guarantee
@@ -233,10 +216,6 @@ impl<T: Component + ?Sized> Component for Box<T> {
 
     fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
         (**self).eval(bus)
-    }
-
-    fn eval_split(&mut self, reader: &BusReader<'_>, log: &mut DriveLog) -> Result<(), SimError> {
-        (**self).eval_split(reader, log)
     }
 
     fn tick(&mut self, bus: &mut SignalBus) -> Result<(), SimError> {

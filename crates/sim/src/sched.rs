@@ -1,6 +1,6 @@
 //! The clocked delta-cycle scheduler.
 //!
-//! Five interchangeable scheduling strategies share one set of
+//! Three interchangeable scheduling strategies share one set of
 //! semantics (see [`SchedMode`]):
 //!
 //! * **Event-driven** (default) — components declare the signals their
@@ -12,49 +12,31 @@
 //!   pass. Retained as the executable reference model: the other
 //!   schedulers are required (and property-tested) to produce
 //!   bit-identical signal traces.
-//! * **Parallel** — the event scheduler's wake waves, distributed over
-//!   worker threads. The woken components are partitioned into
-//!   *islands* (connected components of the signal-connectivity
-//!   graph: a component belongs to the same island as every signal it
-//!   reads or drives); islands are signal-disjoint, so each worker
-//!   evaluates its islands against an immutable pass snapshot
-//!   ([`crate::BusReader`]) plus a worker-local overlay of its own
-//!   earlier writes, logging drives to a [`crate::DriveLog`]. The
-//!   scheduler then commits all logs in component registration order,
-//!   which reproduces the sequential pass bit for bit: multi-driver
-//!   resolution order, dirty tracking, driver attribution in
-//!   [`SimError::NoConvergence`] reports and VCD traces are all
-//!   identical at every thread count.
-//! * **Compiled** — after a validation settle, the design is frozen
+//! * **Lowered** — after a validation settle, the design is frozen
 //!   ahead of time: components are levelized into static ranks by
-//!   combinational depth and signals are flattened into a bit-packed
-//!   `u64`-word arena ([`crate::SchedMode::Compiled`]). Every
-//!   subsequent settle is a single in-order walk of the rank schedule
-//!   instead of a delta-cycle loop. Designs the levelizer cannot
-//!   order (combinational cycles, [`Sensitivity::Always`]) fall back
-//!   transparently — and permanently — to the event-driven scheduler;
-//!   an invalidated schedule (newly discovered driver, added
-//!   components) falls back for one settle and rebuilds.
-//! * **Lowered** — the compiled rank walk, with every
-//!   [`crate::NetlistComponent`] additionally translated into a flat
-//!   word-level op stream ([`crate::SchedMode::Lowered`]) executed
-//!   straight against `u64` value/unknown/high-Z planes: no virtual
-//!   `eval` dispatch, no `BusAccess` reads per net, no `LogicVector`
-//!   materialisation between cells. Components that are not netlist
-//!   interpreters (or whose shape cannot lower) keep their virtual
-//!   `eval` on the same walk, and every fallback rule of compiled
-//!   mode applies unchanged.
+//!   combinational depth, signals are flattened into a bit-packed
+//!   `u64`-word arena, and every [`crate::NetlistComponent`] is
+//!   translated into a flat word-level op stream executed straight
+//!   against `u64` value/unknown/high-Z planes. Every subsequent
+//!   settle is a single in-order walk of the rank schedule instead of
+//!   a delta-cycle loop: no virtual `eval` dispatch, no `BusAccess`
+//!   reads per net, no `LogicVector` materialisation between cells.
+//!   Components that are not netlist interpreters (or whose shape
+//!   cannot lower) keep their virtual `eval` on the same walk. Designs
+//!   the levelizer cannot order (combinational cycles,
+//!   [`Sensitivity::Always`]) fall back transparently — and
+//!   permanently — to the event-driven scheduler; an invalidated
+//!   schedule (newly discovered driver, added components) falls back
+//!   for one settle and rebuilds.
 
 use crate::compiled::{CompiledBus, CompiledPlan, CompiledSchedule, SignalArena};
 use crate::lower::{exec_settle, LoweredProgram, LoweredScratch};
 use crate::netlist_sim::NetlistComponent;
-use crate::signal::{BusAccess as _, BusReader, DRIVER_POKE};
+use crate::signal::{BusAccess as _, DRIVER_POKE};
 use crate::telemetry::{
     ComponentStats, FallbackCause, SignalStats, SimStats, Telemetry, TelemetryLevel, TraceEvent,
 };
-use crate::{
-    ClockDomain, Component, DriveLog, Sensitivity, SignalBus, SignalId, SimError, DEFAULT_CLOCK,
-};
+use crate::{ClockDomain, Component, Sensitivity, SignalBus, SignalId, SimError, DEFAULT_CLOCK};
 use hdp_hdl::LogicVector;
 use std::any::Any;
 use std::sync::Arc;
@@ -65,11 +47,6 @@ const DELTA_LIMIT: usize = 64;
 
 /// How many oscillating signals a non-convergence report names.
 const OSCILLATION_REPORT_CAP: usize = 8;
-
-/// Minimum woken components in a pass before [`SchedMode::Parallel`]
-/// fans out to worker threads. Spawning scoped workers costs tens of
-/// microseconds; waves smaller than this evaluate inline faster.
-const PARALLEL_WAKE_MIN: usize = 8;
 
 /// Incremental FNV-1a (64-bit) hasher for design signatures. Inputs
 /// are length-prefixed, so distinct field sequences cannot collide by
@@ -110,25 +87,23 @@ pub enum SchedMode {
     EventDriven,
     /// Evaluate every component in every delta pass (reference mode).
     FullSweep,
-    /// Event-driven waves evaluated on `threads` worker threads, with
-    /// drives committed in registration order (bit-identical to
-    /// [`SchedMode::EventDriven`]). `threads <= 1` degenerates to the
-    /// sequential event scheduler, as do designs whose woken
-    /// components all share one connectivity island in a given pass.
+    /// Ahead-of-time levelized evaluation with netlist interpreters
+    /// lowered to flat word-level op streams. After a validation
+    /// settle the design is frozen into a levelized schedule
+    /// (components sorted into static ranks by longest combinational
+    /// path) over a bit-packed signal arena, and each settle becomes
+    /// one in-order walk — no delta-cycle loop, no per-pass wake
+    /// bookkeeping. Each [`crate::NetlistComponent`] is translated
+    /// once into a `Vec<LoweredOp>` over per-net `u64`
+    /// value/unknown/high-Z planes, and its slot in the walk executes
+    /// that straight-line stream — no per-cell virtual dispatch, no
+    /// `BusAccess` facade between cells, no `LogicVector` allocation
+    /// on the hot path. Clock edges, memory-port protocol checks and
+    /// their error messages stay with the interpreter's `tick`, which
+    /// samples the settled planes. Components that are not netlist
+    /// interpreters — or whose shape cannot lower (e.g. inout ports) —
+    /// keep their virtual `eval` on the same walk.
     ///
-    /// Requires every component to declare a concrete
-    /// [`Sensitivity::Signals`] list; if any component reports
-    /// [`Sensitivity::Always`] (reads undeclared), the simulator
-    /// conservatively falls back to the sequential event scheduler.
-    Parallel {
-        /// Number of worker threads for wave evaluation.
-        threads: usize,
-    },
-    /// Ahead-of-time compiled evaluation: after a validation settle
-    /// the design is frozen into a levelized schedule (components
-    /// sorted into static ranks by longest combinational path) over a
-    /// bit-packed signal arena, and each settle becomes one in-order
-    /// walk — no delta-cycle loop, no per-pass wake bookkeeping.
     /// Settled values, VCD traces, telemetry toggle totals and error
     /// reports are bit-identical to [`SchedMode::EventDriven`].
     ///
@@ -141,48 +116,34 @@ pub enum SchedMode {
     /// component the schedule had not seen drive that signal, added
     /// components or signals, or direct device mutation through
     /// [`Simulator::component_mut`]), after which it rebuilds.
-    Compiled,
-    /// [`SchedMode::Compiled`]'s rank walk with netlist interpreters
-    /// lowered to flat word-level op streams: each
-    /// [`crate::NetlistComponent`] is translated once into a
-    /// `Vec<LoweredOp>` over per-net `u64` value/unknown/high-Z
-    /// planes, and its slot in the walk executes that straight-line
-    /// stream — no per-cell virtual dispatch, no `BusAccess` facade
-    /// between cells, no `LogicVector` allocation on the hot path.
-    /// Clock edges, memory-port protocol checks and their error
-    /// messages stay with the interpreter's `tick`, which samples the
-    /// settled planes.
-    ///
-    /// Components that are not netlist interpreters — or whose shape
-    /// cannot lower (e.g. inout ports) — keep their virtual `eval` on
-    /// the same walk, and all of [`SchedMode::Compiled`]'s
-    /// transient/permanent fallback rules apply unchanged. Settled
-    /// values, traces and telemetry toggle totals remain bit-identical
-    /// to [`SchedMode::EventDriven`].
     Lowered,
 }
 
 impl SchedMode {
-    /// [`SchedMode::Parallel`] with the thread count taken from the
-    /// `HDP_SIM_THREADS` environment variable, falling back to the
-    /// machine's available parallelism (capped at 8).
+    /// Every mode, reference first.
+    pub const ALL: [SchedMode; 3] = [
+        SchedMode::FullSweep,
+        SchedMode::EventDriven,
+        SchedMode::Lowered,
+    ];
+
+    /// The mode's stable snake_case name, as spelled on the service
+    /// wire, in metrics and in benchmark documents.
     #[must_use]
-    pub fn parallel() -> Self {
-        SchedMode::Parallel {
-            threads: default_threads(),
+    pub fn label(self) -> &'static str {
+        match self {
+            SchedMode::FullSweep => "full_sweep",
+            SchedMode::EventDriven => "event_driven",
+            SchedMode::Lowered => "lowered",
         }
     }
-}
 
-/// Thread count from `HDP_SIM_THREADS`, else available parallelism
-/// capped at 8 (waves rarely have more independent islands than that).
-fn default_threads() -> usize {
-    std::env::var("HDP_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get().min(8)))
-        .min(64)
+    /// The mode named by [`SchedMode::label`], or `None` for any other
+    /// string.
+    #[must_use]
+    pub fn parse(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|m| m.label() == label)
+    }
 }
 
 /// Handle to a component instance owned by a [`Simulator`], returned
@@ -192,8 +153,8 @@ fn default_threads() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ComponentId(usize);
 
-/// `Send` is a supertrait so component instances can be evaluated on
-/// [`SchedMode::Parallel`] worker threads.
+/// `Send` is a supertrait so a whole [`Simulator`] can move to another
+/// thread (batch execution shards simulators over worker threads).
 trait AnyComponent: Component + Send {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
@@ -208,107 +169,7 @@ impl<T: Component + Send + Any> AnyComponent for T {
     }
 }
 
-/// Reusable per-worker state for parallel wave evaluation.
-#[derive(Default)]
-struct WorkerScratch {
-    /// Pass serial for which each overlay slot is live.
-    overlay_wave: Vec<u64>,
-    /// Worker-local committed value per slot (valid when the wave tag
-    /// matches the current pass).
-    overlay_val: Vec<LogicVector>,
-    /// `(component, signal, value)` drives awaiting ordered commit.
-    commits: Vec<(usize, SignalId, LogicVector)>,
-    /// Scratch drive log handed to each component evaluation.
-    log: DriveLog,
-    /// First evaluation error in this worker's registration-ordered
-    /// bucket, if any.
-    error: Option<(usize, SimError)>,
-    /// Telemetry: `(component, eval duration ns)` per evaluation this
-    /// wave, merged into the scheduler's counters at commit time so
-    /// workers never share counter memory (no atomics).
-    evals: Vec<(usize, u64)>,
-    /// Telemetry: spans recorded this wave ([`TelemetryLevel::Full`]).
-    spans: Vec<TraceEvent>,
-}
-
-/// The telemetry context a parallel worker needs: the level and the
-/// span epoch, both `Copy`, captured before the scoped spawn.
-#[derive(Clone, Copy)]
-struct WorkerTelemetry {
-    level: TelemetryLevel,
-    epoch: Option<Instant>,
-}
-
-impl WorkerTelemetry {
-    fn ns_since_epoch(&self, at: Instant) -> u64 {
-        self.epoch.map_or(0, |e| {
-            u64::try_from(at.saturating_duration_since(e).as_nanos()).unwrap_or(u64::MAX)
-        })
-    }
-}
-
-/// Evaluates one worker's registration-ordered bucket of woken
-/// components against the pass snapshot, accumulating drives in the
-/// worker's commit buffer. Stops at the first error, mirroring the
-/// sequential scheduler (drives logged before the error remain, the
-/// erroring component's later drives never happen).
-fn worker_eval(
-    bucket: Vec<(usize, &mut Box<dyn AnyComponent>)>,
-    scratch: &mut WorkerScratch,
-    bus: &SignalBus,
-    wave: u64,
-    telem: WorkerTelemetry,
-    worker: u32,
-) {
-    scratch.overlay_wave.resize(bus.len(), 0);
-    scratch.overlay_val.resize(
-        bus.len(),
-        LogicVector::unknown(1).expect("1-bit placeholder"),
-    );
-    let WorkerScratch {
-        overlay_wave,
-        overlay_val,
-        commits,
-        log,
-        error,
-        evals,
-        spans,
-    } = scratch;
-    for (idx, comp) in bucket {
-        log.clear();
-        let started = telem.level.timed().then(Instant::now);
-        let reader = BusReader::new(bus, wave, overlay_wave, overlay_val);
-        let res = comp.eval_split(&reader, log);
-        if telem.level.enabled() {
-            let dur_ns = started.map_or(0, |t| {
-                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            evals.push((idx, dur_ns));
-            if let Some(t0) = started {
-                spans.push(TraceEvent {
-                    name: comp.name().to_owned(),
-                    cat: "eval",
-                    ts_ns: telem.ns_since_epoch(t0),
-                    dur_ns,
-                    tid: worker + 1,
-                });
-            }
-        }
-        for &(id, v) in log.raw() {
-            commits.push((idx, id, v));
-        }
-        for &(slot, v) in log.resolved() {
-            overlay_wave[slot] = wave;
-            overlay_val[slot] = v;
-        }
-        if let Err(e) = res {
-            *error = Some((idx, e));
-            return;
-        }
-    }
-}
-
-/// The frozen state of [`SchedMode::Compiled`]: the schedule itself
+/// The frozen state of [`SchedMode::Lowered`]: the schedule itself
 /// (or the reason none could be built) plus the design snapshot it was
 /// built from, so any later growth of the design is detected cheaply.
 struct ActivePlan {
@@ -327,7 +188,7 @@ struct ActivePlan {
 }
 
 /// One component's lowered op-stream program plus its reusable scratch
-/// planes ([`SchedMode::Lowered`]). The program is behind an `Arc` so
+/// planes. The program is behind an `Arc` so
 /// [`Simulator::export_plan`] can ship it inside a [`CompiledPlan`]
 /// without cloning the op stream.
 struct LoweredUnit {
@@ -369,41 +230,21 @@ pub struct Simulator {
     /// late additions).
     wake_all: bool,
     /// Whether any component declared [`Sensitivity::Always`] — such
-    /// components may read arbitrary signals, so the parallel
-    /// scheduler cannot partition and falls back to sequential waves.
+    /// components may read arbitrary signals, so no static evaluation
+    /// order is safe and [`SchedMode::Lowered`] falls back for good.
     has_always: bool,
-    /// Connectivity island (union-find root) per component, for
-    /// [`SchedMode::Parallel`]. Rebuilt lazily when the component set,
-    /// signal set or discovered driver links change.
-    islands: Vec<usize>,
-    /// `SignalBus::driver_link_count` the islands were built from.
-    islands_links: usize,
-    /// `SignalBus::len` the islands were built from.
-    islands_sigs: usize,
-    /// Whether a full sequential wake-all settle has run since the
-    /// last table rebuild. Driver links (which components write which
-    /// signals) are discovered at runtime; the first settle runs
-    /// sequentially so the island partition is complete before any
-    /// parallel wave.
-    islands_validated: bool,
-    /// Monotonic parallel-pass serial, tagging worker overlay entries.
-    pass_serial: u64,
     /// Reusable wake/next buffers for the settle loops (hoisted out of
     /// the per-pass hot path to avoid allocator churn).
     scratch_wake: Vec<usize>,
     scratch_next: Vec<usize>,
-    /// Reusable per-worker evaluation state.
-    worker_scratch: Vec<WorkerScratch>,
-    /// Reusable merge buffer for ordered commits.
-    commit_scratch: Vec<(usize, SignalId, LogicVector)>,
-    /// The frozen plan for [`SchedMode::Compiled`], built after a
-    /// validation settle. `None` until the first compiled settle or
+    /// The frozen plan for [`SchedMode::Lowered`], built after a
+    /// validation settle. `None` until the first lowered settle or
     /// after invalidation.
     compiled: Option<ActivePlan>,
-    /// Per-component lowered op-stream programs for
-    /// [`SchedMode::Lowered`], index-aligned with `components`. `None`
-    /// entries evaluate through the virtual `eval` path on the rank
-    /// walk (not a netlist interpreter, or a shape that cannot lower).
+    /// Per-component lowered op-stream programs, index-aligned with
+    /// `components`. `None` entries evaluate through the virtual `eval`
+    /// path on the rank walk (not a netlist interpreter, or a shape
+    /// that cannot lower).
     lowered: Vec<Option<LoweredUnit>>,
     /// Whether `lowered` is current for the component set.
     lowered_ready: bool,
@@ -489,8 +330,7 @@ impl Simulator {
 
     /// Adds a component instance, returning a handle for later
     /// inspection with [`Simulator::component`]. Components must be
-    /// [`Send`] so [`SchedMode::Parallel`] can evaluate them on worker
-    /// threads.
+    /// [`Send`] so a whole simulator can move between threads.
     ///
     /// Adding a component invalidates the frozen sensitivity tables;
     /// they are rebuilt lazily at the next settle. Prefer registering
@@ -687,19 +527,6 @@ impl Simulator {
                 }
             })
             .collect();
-        // Island sizes from the current partition, numbered by first
-        // appearance in registration order (deterministic).
-        let mut island_sizes: Vec<u64> = Vec::new();
-        let mut roots: Vec<usize> = Vec::new();
-        for &root in &self.islands {
-            match roots.iter().position(|&r| r == root) {
-                Some(k) => island_sizes[k] += 1,
-                None => {
-                    roots.push(root);
-                    island_sizes.push(1);
-                }
-            }
-        }
         let last_wake_sets: Vec<Vec<String>> = t
             .wake_ring
             .iter()
@@ -722,7 +549,7 @@ impl Simulator {
         let mut notes = t.notes.clone();
         if let Some(reason) = self.compile_fallback_reason() {
             notes.push(format!(
-                "compiled: permanently falling back to event-driven — {reason}"
+                "lowered: permanently falling back to event-driven — {reason}"
             ));
         }
         SimStats {
@@ -735,18 +562,13 @@ impl Simulator {
             max_wake: t.max_wake,
             components,
             signals,
-            parallel_waves: t.parallel_waves,
-            inline_waves: t.inline_waves,
             fallback_settles: t.fallback_settles,
             fallback_causes: t.fallback_causes,
-            compiled_settles: t.compiled_settles,
             lowered_settles: t.lowered_settles,
             ops_executed: t.ops_executed,
             plan_installs: t.plan_installs,
             compiled_ranks,
             notes,
-            island_sizes,
-            worker_evals: t.worker_evals.clone(),
             last_wake_sets,
             trace: t.trace.clone(),
             trace_dropped: t.trace_dropped,
@@ -837,8 +659,7 @@ impl Simulator {
         match self.mode {
             SchedMode::FullSweep => self.settle_sweep(),
             SchedMode::EventDriven => self.settle_event(),
-            SchedMode::Parallel { threads } => self.settle_parallel(threads),
-            SchedMode::Compiled | SchedMode::Lowered => self.settle_compiled(),
+            SchedMode::Lowered => self.settle_lowered(),
         }
     }
 
@@ -909,9 +730,9 @@ impl Simulator {
         self.poked_signals.clear();
     }
 
-    /// Post-pass bookkeeping shared by the event-driven and parallel
-    /// settle loops: promote co-drivers of newly shared signals and
-    /// collect the next pass's wake set from the dirty slots.
+    /// Post-pass bookkeeping of the event-driven settle loop: promote
+    /// co-drivers of newly shared signals and collect the next pass's
+    /// wake set from the dirty slots.
     ///
     /// A signal that just gained a second driver needs all its drivers
     /// co-evaluated from now on, or per-pass resolution would see
@@ -991,7 +812,6 @@ impl Simulator {
                             cat: "eval",
                             ts_ns: self.telemetry.now_ns().saturating_sub(dur),
                             dur_ns: dur,
-                            tid: 0,
                         });
                     }
                 }
@@ -1002,7 +822,6 @@ impl Simulator {
                     cat: "pass",
                     ts_ns: t0,
                     dur_ns: self.telemetry.now_ns().saturating_sub(t0),
-                    tid: 0,
                 });
             }
             if telemetry_on {
@@ -1023,251 +842,12 @@ impl Simulator {
         Err(self.no_convergence())
     }
 
-    /// Parallel settle: event-driven waves with woken components
-    /// distributed over worker threads by connectivity island.
-    ///
-    /// Falls back to the sequential event scheduler when it would not
-    /// be bit-safe or useful: one worker, a component with undeclared
-    /// reads ([`Sensitivity::Always`]), or an island partition not yet
-    /// validated by a full sequential settle (driver links — which
-    /// component writes which signal — are discovered at runtime, and
-    /// the partition is only complete after every component has
-    /// evaluated once).
-    fn settle_parallel(&mut self, threads: usize) -> Result<(), SimError> {
-        self.ensure_tables()?;
-        if threads <= 1 || self.has_always || !self.islands_validated {
-            if self.telemetry.on() {
-                self.telemetry
-                    .record_fallback_settle(FallbackCause::ParallelSequential);
-            }
-            let was_wake_all = self.wake_all;
-            let res = self.settle_event();
-            if res.is_ok() && was_wake_all && !self.has_always {
-                self.islands_validated = true;
-            }
-            return res;
-        }
-        let mut wake = std::mem::take(&mut self.scratch_wake);
-        let mut next = std::mem::take(&mut self.scratch_next);
-        self.collect_wake(&mut wake);
-        let res = self.settle_parallel_loop(&mut wake, &mut next, threads);
-        wake.clear();
-        next.clear();
-        self.scratch_wake = wake;
-        self.scratch_next = next;
-        res
-    }
-
-    fn settle_parallel_loop(
-        &mut self,
-        wake: &mut Vec<usize>,
-        next: &mut Vec<usize>,
-        threads: usize,
-    ) -> Result<(), SimError> {
-        let telemetry_on = self.telemetry.on();
-        if telemetry_on {
-            self.telemetry.settles += 1;
-            self.telemetry.ensure_components(self.components.len());
-        }
-        let mut pass_count: u64 = 0;
-        for _ in 0..DELTA_LIMIT {
-            // Promotion or late driver discovery in a previous pass may
-            // have invalidated the partition.
-            self.maybe_rebuild_islands();
-            self.bus.begin_pass();
-            self.bus.set_driver(DRIVER_POKE);
-            for (id, value) in &self.pokes {
-                self.bus.drive(*id, *value)?;
-            }
-            wake.extend_from_slice(&self.always);
-            wake.sort_unstable();
-            wake.dedup();
-            if telemetry_on {
-                pass_count += 1;
-                self.telemetry.record_pass(wake);
-            }
-            // A wave spanning a single island has no parallelism to
-            // exploit, and a small wave cannot amortize the spawn cost
-            // of scoped workers (~tens of µs vs. ~µs of evaluation);
-            // either way, evaluate inline on the real bus.
-            let mut multi = false;
-            if wake.len() >= PARALLEL_WAKE_MIN {
-                let mut first = None;
-                for &i in wake.iter() {
-                    let isl = self.islands[i];
-                    match first {
-                        None => first = Some(isl),
-                        Some(f) if f != isl => {
-                            multi = true;
-                            break;
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            if multi {
-                if telemetry_on {
-                    self.telemetry.parallel_waves += 1;
-                }
-                self.eval_wave_parallel(wake, threads)?;
-            } else {
-                if telemetry_on {
-                    self.telemetry.inline_waves += 1;
-                }
-                for &i in wake.iter() {
-                    self.bus.set_driver(i);
-                    let started = self.telemetry.timed().then(Instant::now);
-                    self.components[i].eval(&mut self.bus)?;
-                    if telemetry_on {
-                        let dur = started.map_or(0, |t| {
-                            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                        });
-                        self.telemetry.record_eval(i, dur);
-                        if started.is_some() {
-                            self.telemetry.push_span(TraceEvent {
-                                name: self.components[i].name().to_owned(),
-                                cat: "eval",
-                                ts_ns: self.telemetry.now_ns().saturating_sub(dur),
-                                dur_ns: dur,
-                                tid: 0,
-                            });
-                        }
-                    }
-                }
-            }
-            if telemetry_on {
-                self.bus.count_pass_toggles();
-            }
-            self.pass_followup(next);
-            if next.is_empty() {
-                if telemetry_on {
-                    self.telemetry.max_passes = self.telemetry.max_passes.max(pass_count);
-                }
-                return Ok(());
-            }
-            std::mem::swap(wake, next);
-        }
-        if telemetry_on {
-            self.telemetry.max_passes = self.telemetry.max_passes.max(pass_count);
-        }
-        Err(self.no_convergence())
-    }
-
-    /// Evaluates one wave on up to `threads` scoped workers and
-    /// commits the logged drives in registration order.
-    fn eval_wave_parallel(&mut self, wake: &[usize], threads: usize) -> Result<(), SimError> {
-        self.pass_serial += 1;
-        let wave = self.pass_serial;
-        let workers = threads.min(wake.len()).max(1);
-        if self.worker_scratch.len() < workers {
-            self.worker_scratch
-                .resize_with(workers, WorkerScratch::default);
-        }
-        let telem = WorkerTelemetry {
-            level: self.telemetry.level,
-            epoch: self.telemetry.epoch(),
-        };
-        let wave_t0 = telem.level.timed().then(|| self.telemetry.now_ns());
-        let bus = &self.bus;
-        let islands = &self.islands;
-        let scratches = &mut self.worker_scratch[..workers];
-        // Split the component vector into disjoint mutable borrows so
-        // each worker owns exactly its bucket (safe split: every woken
-        // index is taken at most once).
-        let mut refs: Vec<Option<&mut Box<dyn AnyComponent>>> =
-            self.components.iter_mut().map(Some).collect();
-        let mut buckets: Vec<Vec<(usize, &mut Box<dyn AnyComponent>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for &i in wake {
-            let w = islands[i] % workers;
-            buckets[w].push((
-                i,
-                refs[i].take().expect("component woken twice in one pass"),
-            ));
-        }
-        std::thread::scope(|s| {
-            for (w, (bucket, scratch)) in buckets.into_iter().zip(scratches.iter_mut()).enumerate()
-            {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let w = u32::try_from(w).unwrap_or(u32::MAX);
-                s.spawn(move || worker_eval(bucket, scratch, bus, wave, telem, w));
-            }
-        });
-        // Merge the per-worker logs into registration order. The sort
-        // is stable, so each component's own drive order is preserved.
-        // Telemetry merges here too: workers only ever wrote their own
-        // scratch, so the counters stay atomic-free.
-        let mut all = std::mem::take(&mut self.commit_scratch);
-        let mut first_err: Option<(usize, SimError)> = None;
-        let telemetry_on = self.telemetry.on();
-        for (w, scratch) in self.worker_scratch[..workers].iter_mut().enumerate() {
-            all.append(&mut scratch.commits);
-            if telemetry_on && !scratch.evals.is_empty() {
-                self.telemetry
-                    .record_worker_evals(w, scratch.evals.len() as u64);
-                for (idx, dur_ns) in scratch.evals.drain(..) {
-                    self.telemetry.record_eval(idx, dur_ns);
-                }
-            }
-            if !scratch.spans.is_empty() {
-                self.telemetry.extend_spans(&mut scratch.spans);
-            }
-            if let Some((idx, e)) = scratch.error.take() {
-                if first_err.as_ref().is_none_or(|(k, _)| idx < *k) {
-                    first_err = Some((idx, e));
-                }
-            }
-        }
-        if let Some(t0) = wave_t0 {
-            self.telemetry.push_span(TraceEvent {
-                name: format!("wave ({} woken, {workers} workers)", wake.len()),
-                cat: "wave",
-                ts_ns: t0,
-                dur_ns: self.telemetry.now_ns().saturating_sub(t0),
-                tid: 0,
-            });
-        }
-        all.sort_by_key(|&(comp, _, _)| comp);
-        // Replay. On a component error, the sequential scheduler would
-        // have stopped mid-pass: commit only drives from components
-        // registered before the erroring one, plus the erroring
-        // component's drives logged before its error.
-        let mut replay_err = None;
-        let mut cur = DRIVER_POKE;
-        for &(comp, id, v) in &all {
-            if let Some((k, _)) = &first_err {
-                if comp > *k {
-                    break;
-                }
-            }
-            if comp != cur {
-                self.bus.set_driver(comp);
-                cur = comp;
-            }
-            if let Err(e) = self.bus.drive(id, v) {
-                replay_err = Some(e);
-                break;
-            }
-        }
-        all.clear();
-        self.commit_scratch = all;
-        match (first_err, replay_err) {
-            (Some((_, e)), _) => Err(e),
-            (None, Some(e)) => Err(e),
-            (None, None) => Ok(()),
-        }
-    }
-
-    /// Compiled settle: one walk of the frozen rank schedule, with
+    /// Lowered settle: one walk of the frozen rank schedule, with
     /// transparent event-driven fallback whenever the plan is missing,
     /// stale, unbuildable, or a full re-evaluation is pending.
-    fn settle_compiled(&mut self) -> Result<(), SimError> {
+    fn settle_lowered(&mut self) -> Result<(), SimError> {
         self.ensure_tables()?;
-        if self.mode == SchedMode::Lowered {
-            self.ensure_lowered();
-        }
+        self.ensure_lowered();
         let fresh = self.compiled.as_ref().is_some_and(|p| {
             p.n_sigs == self.bus.len()
                 && p.n_comps == self.components.len()
@@ -1329,7 +909,7 @@ impl Simulator {
                         self.telemetry
                             .record_fallback_settle(FallbackCause::StaleDriver);
                         self.telemetry.note_once(
-                            "compiled: schedule invalidated by a newly discovered driver; \
+                            "lowered: schedule invalidated by a newly discovered driver; \
                              settle re-ran event-driven and the schedule will be rebuilt",
                         );
                     }
@@ -1381,7 +961,6 @@ impl Simulator {
         if telemetry_on {
             self.telemetry.ensure_components(self.components.len());
         }
-        let use_lowered = self.mode == SchedMode::Lowered;
         let mut evaluated: Vec<usize> = Vec::new();
         {
             let Simulator {
@@ -1451,12 +1030,7 @@ impl Simulator {
                         driver: i,
                         telemetry: telemetry_on,
                     };
-                    let unit = if use_lowered {
-                        lowered.get_mut(i).and_then(Option::as_mut)
-                    } else {
-                        None
-                    };
-                    match unit {
+                    match lowered.get_mut(i).and_then(Option::as_mut) {
                         Some(unit) => {
                             let comp = (*components[i])
                                 .as_any_mut()
@@ -1480,7 +1054,6 @@ impl Simulator {
                             cat: "eval",
                             ts_ns: telemetry.now_ns().saturating_sub(dur),
                             dur_ns: dur,
-                            tid: 0,
                         });
                     }
                 }
@@ -1513,11 +1086,7 @@ impl Simulator {
         }
         if telemetry_on {
             self.telemetry.settles += 1;
-            if use_lowered {
-                self.telemetry.lowered_settles += 1;
-            } else {
-                self.telemetry.compiled_settles += 1;
-            }
+            self.telemetry.lowered_settles += 1;
             self.telemetry.record_pass(&evaluated);
             self.telemetry.max_passes = self.telemetry.max_passes.max(1);
             self.bus.count_pass_toggles();
@@ -1540,9 +1109,9 @@ impl Simulator {
         self.compiled = Some(plan);
     }
 
-    /// (Re)derives the per-component lowered op streams for
-    /// [`SchedMode::Lowered`]. Every [`NetlistComponent`] is
-    /// translated once into a flat word-level program; anything else —
+    /// (Re)derives the per-component lowered op streams. Every
+    /// [`NetlistComponent`] is translated once into a flat word-level
+    /// program; anything else —
     /// or a netlist shape that cannot lower — keeps its virtual `eval`
     /// on the rank walk, with the reason recorded as a telemetry note.
     fn ensure_lowered(&mut self) {
@@ -1685,9 +1254,9 @@ impl Simulator {
         Ok(CompiledSchedule::new(arena, order, rank_counts))
     }
 
-    /// Switches to [`SchedMode::Compiled`] and builds the schedule
+    /// Switches to [`SchedMode::Lowered`] and builds the schedule
     /// immediately (the build settle runs now rather than lazily at
-    /// the next settle). Returns whether a compiled schedule is
+    /// the next settle). Returns whether a levelized schedule is
     /// active; `false` means the design cannot be levelized and every
     /// settle will transparently use the event-driven scheduler — see
     /// [`Simulator::compile_fallback_reason`] for why. Results are
@@ -1697,7 +1266,7 @@ impl Simulator {
     ///
     /// Propagates errors from the validation settle.
     pub fn compile(&mut self) -> Result<bool, SimError> {
-        self.set_mode(SchedMode::Compiled);
+        self.set_mode(SchedMode::Lowered);
         self.settle()?;
         // The wake-all fallback path defers the build to the next
         // settle; force it now so callers get a definitive answer.
@@ -1707,8 +1276,8 @@ impl Simulator {
         Ok(self.compiled.as_ref().is_some_and(|p| p.sched.is_ok()))
     }
 
-    /// Why [`SchedMode::Compiled`] permanently fell back to
-    /// event-driven evaluation, if it did. `None` while a compiled
+    /// Why [`SchedMode::Lowered`] permanently fell back to
+    /// event-driven evaluation, if it did. `None` while a levelized
     /// schedule is active, or before one was ever built.
     #[must_use]
     pub fn compile_fallback_reason(&self) -> Option<&str> {
@@ -1794,12 +1363,13 @@ impl Simulator {
         h.finish()
     }
 
-    /// Snapshots the active compiled schedule as a reusable
-    /// [`CompiledPlan`]: the levelized order, the rank shape, and
-    /// every `(signal, driver)` link the bus has observed. `None`
-    /// while no compiled schedule is active (mode is not
-    /// [`SchedMode::Compiled`], [`Simulator::compile`] has not run, or
-    /// the design permanently fell back to event-driven evaluation).
+    /// Snapshots the active levelized schedule as a reusable
+    /// [`CompiledPlan`]: the levelized order, the rank shape, the
+    /// per-component op streams and every `(signal, driver)` link the
+    /// bus has observed. `None` while no levelized schedule is active
+    /// (mode is not [`SchedMode::Lowered`], [`Simulator::compile`] has
+    /// not run, or the design permanently fell back to event-driven
+    /// evaluation).
     ///
     /// The plan is plain data — hash it, cache it, ship it to another
     /// simulator of the same design via [`Simulator::install_plan`].
@@ -1818,9 +1388,9 @@ impl Simulator {
                 links.push((u32::try_from(slot).unwrap_or(u32::MAX), driver));
             }
         }
-        // A simulator that ran [`SchedMode::Lowered`] also ships its
-        // per-component op streams (cheap: `Arc` bumps), so a warm
-        // install skips the lowering pass as well as levelization.
+        // The per-component op streams ship too (cheap: `Arc` bumps),
+        // so a warm install skips the lowering pass as well as
+        // levelization.
         let lowered: Vec<Option<Arc<LoweredProgram>>> = if self.lowered.len() == plan.n_comps {
             self.lowered
                 .iter()
@@ -1842,7 +1412,7 @@ impl Simulator {
 
     /// Installs a [`CompiledPlan`] exported from another simulator of
     /// the same design, switching this simulator to
-    /// [`SchedMode::Compiled`] with the schedule already built — the
+    /// [`SchedMode::Lowered`] with the schedule already built — the
     /// validation levelization is skipped entirely. Call after all
     /// signals and components are registered (and before running);
     /// the recorded driver links are replayed onto the bus so the
@@ -1946,69 +1516,13 @@ impl Simulator {
                 self.lowered_ready = true;
             }
         }
-        // A simulator already running lowered keeps that mode; anything
-        // else lands on the classic compiled walk (the historical
-        // contract of `install_plan`).
-        if self.mode != SchedMode::Lowered {
-            self.set_mode(SchedMode::Compiled);
-        }
+        self.set_mode(SchedMode::Lowered);
         if self.telemetry.on() {
             self.telemetry.plan_installs += 1;
             self.telemetry
-                .note_once("compiled: schedule installed from a cached plan");
+                .note_once("lowered: schedule installed from a cached plan");
         }
         Ok(())
-    }
-
-    /// Rebuilds the component islands if the component set, signal set
-    /// or discovered driver links changed since the last build.
-    ///
-    /// Islands are the connected components of the bipartite
-    /// signal/component graph with an edge for every declared read
-    /// (sensitivity) and every observed drive (driver links recorded
-    /// by the bus). Two components in different islands can never
-    /// touch the same signal in a pass, so their evaluation order is
-    /// immaterial and they may run on different workers.
-    fn maybe_rebuild_islands(&mut self) {
-        let links = self.bus.driver_link_count();
-        if self.islands.len() == self.components.len()
-            && self.islands_links == links
-            && self.islands_sigs == self.bus.len()
-        {
-            return;
-        }
-        let n_sig = self.bus.len();
-        let n = self.components.len();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        fn union(parent: &mut [usize], a: usize, b: usize) {
-            let ra = find(parent, a);
-            let rb = find(parent, b);
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-        let mut parent: Vec<usize> = (0..n_sig + n).collect();
-        for (s, ws) in self.watchers.iter().enumerate() {
-            for &c in ws {
-                union(&mut parent, s, n_sig + c);
-            }
-        }
-        for s in 0..n_sig {
-            for &d in self.bus.slot_drivers(s) {
-                if d != DRIVER_POKE && d < n {
-                    union(&mut parent, s, n_sig + d);
-                }
-            }
-        }
-        self.islands = (0..n).map(|i| find(&mut parent, n_sig + i)).collect();
-        self.islands_links = links;
-        self.islands_sigs = n_sig;
     }
 
     /// Builds the non-convergence report from the last pass's dirty set.
@@ -2080,11 +1594,6 @@ impl Simulator {
             }
         }
         self.tables_ready = true;
-        // The table rebuild means components (and thus driver links)
-        // may have changed: force a fresh island partition and require
-        // a sequential validation settle before going parallel.
-        self.islands.clear();
-        self.islands_validated = false;
         Ok(())
     }
 
@@ -2130,10 +1639,7 @@ impl Simulator {
                     }
                 }
             }
-            SchedMode::EventDriven
-            | SchedMode::Parallel { .. }
-            | SchedMode::Compiled
-            | SchedMode::Lowered => {
+            SchedMode::EventDriven | SchedMode::Lowered => {
                 for idx in 0..self.clocked.len() {
                     let i = self.clocked[idx];
                     self.bus.set_driver(i);
@@ -2149,11 +1655,11 @@ impl Simulator {
                 for slot in self.bus.dirty_slots() {
                     self.seeds.extend_from_slice(&self.watchers[slot]);
                 }
-                // Keep the compiled arena coherent incrementally: a
-                // tick is allowed to drive signals directly on the
-                // bus, and reloading the whole arena every cycle would
-                // cost more than the compiled walk saves.
-                if matches!(self.mode, SchedMode::Compiled | SchedMode::Lowered) {
+                if self.mode == SchedMode::Lowered {
+                    // Keep the arena coherent incrementally: a tick is
+                    // allowed to drive signals directly on the bus, and
+                    // reloading the whole arena every cycle would cost
+                    // more than the rank walk saves.
                     if let Some(Ok(sched)) = self.compiled.as_mut().map(|p| p.sched.as_mut()) {
                         if !sched.arena_stale {
                             for slot in self.bus.dirty_slots() {
@@ -2162,15 +1668,13 @@ impl Simulator {
                             }
                         }
                     }
-                }
-                // A clock edge advanced every clocked interpreter's
-                // sequential state, which a lowered program's input
-                // memo cannot see: force those op streams to re-run.
-                // On a partial-firing multi-rate step the memos are
-                // surrendered even for components whose domains sat
-                // out — the honest cost of domain filtering, surfaced
-                // as a fallback cause rather than hidden.
-                if self.mode == SchedMode::Lowered {
+                    // A clock edge advanced every clocked interpreter's
+                    // sequential state, which a lowered program's input
+                    // memo cannot see: force those op streams to re-run.
+                    // On a partial-firing multi-rate step the memos are
+                    // surrendered even for components whose domains sat
+                    // out — the honest cost of domain filtering, counted
+                    // once per such step as a fallback cause.
                     if !all_fire && telemetry_on {
                         self.telemetry.record_cause(FallbackCause::MultiDomain);
                     }
@@ -2200,7 +1704,6 @@ impl Simulator {
                 cat: "step",
                 ts_ns: t0,
                 dur_ns: self.telemetry.now_ns().saturating_sub(t0),
-                tid: 0,
             });
         }
         res
@@ -2302,23 +1805,6 @@ impl SimBuilder {
         self.sim.add_component(component)
     }
 
-    /// Switches to [`SchedMode::Parallel`] with `n` worker threads
-    /// (`n <= 1` keeps parallel mode but degenerates to sequential
-    /// wave evaluation).
-    pub fn threads(&mut self, n: usize) -> &mut Self {
-        self.sim.mode = SchedMode::Parallel { threads: n.max(1) };
-        self
-    }
-
-    /// Switches to [`SchedMode::Compiled`]: after the power-on settle
-    /// in [`SimBuilder::build`], the design is frozen into a levelized
-    /// rank schedule over a bit-packed signal arena, falling back to
-    /// event-driven evaluation wherever that is unsafe.
-    pub fn compiled(&mut self) -> &mut Self {
-        self.sim.mode = SchedMode::Compiled;
-        self
-    }
-
     /// Enables telemetry at `level` from the very first settle (the
     /// power-on reset in [`SimBuilder::build`] is already counted).
     pub fn telemetry(&mut self, level: TelemetryLevel) -> &mut Self {
@@ -2366,15 +1852,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// The scheduling modes every semantics test must agree across.
-    const ALL_MODES: [SchedMode; 6] = [
-        SchedMode::EventDriven,
-        SchedMode::FullSweep,
-        SchedMode::Parallel { threads: 1 },
-        SchedMode::Parallel { threads: 4 },
-        SchedMode::Compiled,
-        SchedMode::Lowered,
-    ];
 
     /// A register: q <= d on every edge.
     struct Reg {
@@ -2461,7 +1938,7 @@ mod tests {
     fn counter_from_reg_and_inc() {
         // q -> inc -> d -> reg -> q : a classic counter loop broken by
         // the register.
-        for mode in ALL_MODES {
+        for mode in SchedMode::ALL {
             let (mut sim, q) = counter_sim(mode);
             assert_eq!(sim.peek(q).unwrap().to_u64(), Some(0));
             sim.run(5).unwrap();
@@ -2472,7 +1949,7 @@ mod tests {
 
     #[test]
     fn poke_persists_across_cycles() {
-        for mode in ALL_MODES {
+        for mode in SchedMode::ALL {
             let mut sim = Simulator::with_mode(mode);
             let d = sim.add_signal("d", 8).unwrap();
             let q = sim.add_signal("q", 8).unwrap();
@@ -2493,7 +1970,7 @@ mod tests {
     fn zero_delay_loop_is_detected() {
         // Two combinational inverters in a loop: y = x+1, x = y+1 never
         // converges.
-        for mode in ALL_MODES {
+        for mode in SchedMode::ALL {
             let mut sim2 = Simulator::with_mode(mode);
             let x2 = sim2.add_signal("x", 8).unwrap();
             let y2 = sim2.add_signal("y", 8).unwrap();
@@ -2662,7 +2139,7 @@ mod tests {
                 false
             }
         }
-        for mode in ALL_MODES {
+        for mode in SchedMode::ALL {
             let mut sim = Simulator::with_mode(mode);
             let sel = sim.add_signal("sel", 1).unwrap();
             let shared = sim.add_signal("shared", 8).unwrap();
@@ -2751,18 +2228,14 @@ mod tests {
         sim.run(3).unwrap();
         sim.set_mode(SchedMode::FullSweep);
         sim.run(3).unwrap();
-        sim.set_mode(SchedMode::parallel());
-        sim.run(3).unwrap();
-        sim.set_mode(SchedMode::Compiled);
-        sim.run(3).unwrap();
         sim.set_mode(SchedMode::Lowered);
         sim.run(3).unwrap();
         sim.set_mode(SchedMode::EventDriven);
         sim.run(3).unwrap();
-        assert_eq!(sim.peek(q).unwrap().to_u64(), Some(18));
+        assert_eq!(sim.peek(q).unwrap().to_u64(), Some(12));
     }
 
-    /// Builds `n` independent counters (islands) in one simulator.
+    /// Builds `n` independent counters in one simulator.
     fn multi_counter_sim(mode: SchedMode, n: usize) -> (Simulator, Vec<SignalId>) {
         let mut sim = Simulator::with_mode(mode);
         let mut qs = Vec::new();
@@ -2788,130 +2261,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_multi_island_matches_event_driven() {
-        let (mut reference, ref_qs) = multi_counter_sim(SchedMode::EventDriven, 6);
-        reference.run(10).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let (mut sim, qs) = multi_counter_sim(SchedMode::Parallel { threads }, 6);
-            sim.run(10).unwrap();
-            for (q, rq) in qs.iter().zip(&ref_qs) {
-                assert_eq!(
-                    sim.peek(*q).unwrap(),
-                    reference.peek(*rq).unwrap(),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_partitions_independent_counters_into_islands() {
-        let (mut sim, qs) = multi_counter_sim(SchedMode::Parallel { threads: 4 }, 5);
-        // Force the partition to exist (it is built lazily at the first
-        // parallel wave, after the sequential validation settle).
-        sim.run(2).unwrap();
-        sim.maybe_rebuild_islands();
-        let distinct: std::collections::HashSet<usize> = sim.islands.iter().copied().collect();
-        assert_eq!(
-            distinct.len(),
-            5,
-            "five independent counters -> five islands"
-        );
-        assert_eq!(sim.peek(qs[0]).unwrap().to_u64(), Some(2));
-    }
-
-    #[test]
-    fn parallel_falls_back_with_always_components() {
-        struct Sweeper {
-            y: SignalId,
-        }
-        impl Component for Sweeper {
-            fn name(&self) -> &str {
-                "sweeper"
-            }
-            fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
-                bus.drive_u64(self.y, 1)
-            }
-            fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
-                Ok(())
-            }
-        }
-        let mut sim = Simulator::with_mode(SchedMode::Parallel { threads: 4 });
-        let y = sim.add_signal("y", 1).unwrap();
-        sim.add_component(Sweeper { y });
-        sim.reset().unwrap();
-        sim.run(3).unwrap();
-        assert_eq!(sim.peek(y).unwrap().to_u64(), Some(1));
-        assert!(sim.has_always, "Always component must disable partitioning");
-        assert!(!sim.islands_validated);
-    }
-
-    #[test]
-    fn parallel_component_error_is_reported() {
-        struct Faulty {
-            in_sig: SignalId,
-        }
-        impl Component for Faulty {
-            fn name(&self) -> &str {
-                "faulty"
-            }
-            fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
-                // Reads an X signal as an integer: protocol error.
-                bus.read_u64(self.in_sig, "faulty")?;
-                Ok(())
-            }
-            fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
-                Ok(())
-            }
-            fn sensitivity(&self) -> Sensitivity {
-                Sensitivity::Signals(vec![self.in_sig])
-            }
-            fn is_clocked(&self) -> bool {
-                false
-            }
-        }
-        let mut sim = Simulator::with_mode(SchedMode::Parallel { threads: 2 });
-        let x = sim.add_signal("x", 4).unwrap();
-        sim.add_component(Faulty { in_sig: x });
-        assert!(matches!(sim.reset(), Err(SimError::Protocol { .. })));
-    }
-
-    #[test]
-    fn default_threads_respects_env_floor() {
-        // Cannot set the env var here without racing other tests; just
-        // pin the invariants of the fallback path.
-        let n = default_threads();
-        assert!((1..=64).contains(&n));
-    }
-
-    #[test]
-    fn builder_threads_sets_parallel_mode() {
-        let mut b = SimBuilder::new();
-        let q = b.signal("q", 8).unwrap();
-        let d = b.signal("d", 8).unwrap();
-        b.component(Reg {
-            name: "r".into(),
-            d,
-            q,
-            state: 0,
-        });
-        b.component(Inc {
-            name: "i".into(),
-            a: q,
-            y: d,
-            evals: None,
-        });
-        b.threads(3);
-        let mut sim = b.build().unwrap();
-        assert_eq!(sim.mode(), SchedMode::Parallel { threads: 3 });
-        sim.run(7).unwrap();
-        assert_eq!(sim.peek(q).unwrap().to_u64(), Some(7));
-    }
-
-    #[test]
     fn debug_format_mentions_counts() {
         let sim = Simulator::new();
         assert!(format!("{sim:?}").contains("components"));
+    }
+
+    #[test]
+    fn mode_labels_round_trip() {
+        for mode in SchedMode::ALL {
+            assert_eq!(SchedMode::parse(mode.label()), Some(mode));
+        }
+        assert_eq!(SchedMode::parse("parallel"), None);
+        assert_eq!(SchedMode::parse("compiled"), None);
     }
 
     /// `y = a + 1` while `sel` is 1, else `y = 0`: a quiescent
@@ -2947,7 +2308,7 @@ mod tests {
         }
     }
 
-    /// `n` independent gated oscillator islands, quiescent (all `sel`
+    /// `n` independent gated oscillator pairs, quiescent (all `sel`
     /// poked to 0) and settled after reset.
     fn oscillator_farm(mode: SchedMode, n: usize) -> (Simulator, Vec<SignalId>) {
         let mut sim = Simulator::with_mode(mode);
@@ -2977,20 +2338,15 @@ mod tests {
 
     #[test]
     fn no_convergence_report_identical_across_modes() {
-        // Enough islands that parallel mode really fans out
-        // (>= PARALLEL_WAKE_MIN woken components, > 1 island), then
-        // enable every oscillator at once. The resulting
-        // NoConvergence must name the same signals and drivers in
-        // every mode: the report is built from the bus's dirty set,
-        // and the commit replay keeps that bit-identical.
-        let n = PARALLEL_WAKE_MIN;
+        // Eight independent oscillators, all enabled at once. The
+        // resulting NoConvergence must name the same signals and
+        // drivers in every mode: the report is built from the bus's
+        // dirty set, which every scheduler keeps bit-identical.
+        let n = 8;
         let mut reports = Vec::new();
         for mode in [
             SchedMode::EventDriven,
             SchedMode::FullSweep,
-            SchedMode::Parallel { threads: 2 },
-            SchedMode::Parallel { threads: 4 },
-            SchedMode::Compiled,
             SchedMode::Lowered,
         ] {
             let (mut sim, sels) = oscillator_farm(mode, n);
@@ -3071,40 +2427,11 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_eval_counts_identical_event_vs_parallel() {
-        let runs: Vec<SimStats> = [
-            SchedMode::EventDriven,
-            SchedMode::Parallel { threads: 1 },
-            SchedMode::Parallel { threads: 2 },
-            SchedMode::Parallel { threads: 8 },
-        ]
-        .into_iter()
-        .map(|mode| {
-            let (mut sim, _) = multi_counter_sim(mode, 8);
-            sim.set_telemetry(TelemetryLevel::Counters);
-            sim.run(25).unwrap();
-            sim.stats()
-        })
-        .collect();
-        let reference = &runs[0];
-        for stats in &runs[1..] {
-            assert_eq!(stats.total_evals(), reference.total_evals());
-            for (c, rc) in stats.components.iter().zip(&reference.components) {
-                assert_eq!(
-                    (c.name.as_str(), c.evals),
-                    (rc.name.as_str(), rc.evals),
-                    "per-component eval counts must match the event scheduler"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn telemetry_toggles_identical_across_all_modes() {
         let runs: Vec<SimStats> = [
             SchedMode::EventDriven,
             SchedMode::FullSweep,
-            SchedMode::Parallel { threads: 4 },
+            SchedMode::Lowered,
         ]
         .into_iter()
         .map(|mode| {
@@ -3125,17 +2452,15 @@ mod tests {
                 );
             }
         }
-        // Drive counts are eval-proportional: identical between the
-        // event scheduler and parallel commit replay, strictly higher
-        // under the full sweep (every component re-drives every pass).
-        let (event, sweep, parallel) = (&runs[0], &runs[1], &runs[2]);
-        assert_eq!(event.total_drives(), parallel.total_drives());
+        // Drive counts are eval-proportional: strictly higher under
+        // the full sweep (every component re-drives every pass).
+        let (event, sweep) = (&runs[0], &runs[1]);
         assert!(sweep.total_drives() > event.total_drives());
     }
 
     #[test]
     fn telemetry_full_records_spans() {
-        let (mut sim, _) = multi_counter_sim(SchedMode::Parallel { threads: 2 }, 8);
+        let (mut sim, _) = multi_counter_sim(SchedMode::EventDriven, 8);
         sim.set_telemetry(TelemetryLevel::Full);
         sim.run(5).unwrap();
         let stats = sim.stats();
@@ -3150,11 +2475,6 @@ mod tests {
         let json = stats.chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Parallel shape counters: 8 islands of 2 components, waves
-        // fanned out across workers.
-        assert_eq!(stats.island_sizes, vec![2; 8]);
-        assert!(stats.parallel_waves > 0);
-        assert!(stats.worker_evals.iter().sum::<u64>() > 0);
     }
 
     #[test]
@@ -3183,14 +2503,14 @@ mod tests {
 
     #[test]
     fn compile_levelizes_a_counter_and_reports_ranks() {
-        let (mut sim, q) = counter_sim(SchedMode::Compiled);
+        let (mut sim, q) = counter_sim(SchedMode::Lowered);
         sim.set_telemetry(TelemetryLevel::Counters);
         assert!(sim.compile().unwrap(), "a registered counter levelizes");
         assert!(sim.compile_fallback_reason().is_none());
         sim.run(10).unwrap();
         assert_eq!(sim.peek(q).unwrap().to_u64(), Some(10));
         let stats = sim.stats();
-        assert!(stats.compiled_settles > 0, "settles use the rank walk");
+        assert!(stats.lowered_settles > 0, "settles use the rank walk");
         // Reg (reads nothing) at rank 0, Inc (reads q) at rank 1.
         assert_eq!(stats.compiled_ranks, vec![1, 1]);
         assert!(
@@ -3202,10 +2522,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_falls_back_permanently_on_combinational_cycle() {
+    fn lowered_falls_back_permanently_on_combinational_cycle() {
         // The gated oscillator pair is a static cycle (a reads x and
         // drives y; b reads y and drives x) even while quiescent.
-        let (mut sim, sels) = oscillator_farm(SchedMode::Compiled, 1);
+        let (mut sim, sels) = oscillator_farm(SchedMode::Lowered, 1);
         sim.set_telemetry(TelemetryLevel::Counters);
         assert!(!sim.compile().unwrap(), "a static cycle cannot levelize");
         let reason = sim.compile_fallback_reason().unwrap();
@@ -3220,7 +2540,7 @@ mod tests {
             reference.peek(ref_sels[0]).unwrap()
         );
         let stats = sim.stats();
-        assert_eq!(stats.compiled_settles, 0, "no rank walks ever ran");
+        assert_eq!(stats.lowered_settles, 0, "no rank walks ever ran");
         assert!(stats.fallback_settles > 0);
         assert!(
             stats
@@ -3233,7 +2553,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_falls_back_permanently_on_always_sensitivity() {
+    fn lowered_falls_back_permanently_on_always_sensitivity() {
         struct Sweeper {
             y: SignalId,
         }
@@ -3249,7 +2569,7 @@ mod tests {
             }
             // Default sensitivity: Sensitivity::Always.
         }
-        let mut sim = Simulator::with_mode(SchedMode::Compiled);
+        let mut sim = Simulator::with_mode(SchedMode::Lowered);
         let y = sim.add_signal("y", 1).unwrap();
         sim.add_component(Sweeper { y });
         sim.reset().unwrap();
@@ -3262,7 +2582,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_rebuilds_after_new_driver_discovery() {
+    fn lowered_rebuilds_after_new_driver_discovery() {
         /// Drives `y` only while `en` is high — invisible to the
         /// schedule build when constructed with `en` low, and with no
         /// `drives()` declaration to warn the levelizer.
@@ -3290,7 +2610,7 @@ mod tests {
                 false
             }
         }
-        let mut sim = Simulator::with_mode(SchedMode::Compiled);
+        let mut sim = Simulator::with_mode(SchedMode::Lowered);
         let en = sim.add_signal("en", 1).unwrap();
         let y = sim.add_signal("y", 1).unwrap();
         sim.add_component(LateDriver { en, y });
@@ -3315,14 +2635,14 @@ mod tests {
         // Next settle rebuilds the plan (event-driven), the one after
         // walks the rebuilt schedule.
         sim.settle().unwrap();
-        let before = sim.stats().compiled_settles;
+        let before = sim.stats().lowered_settles;
         sim.settle().unwrap();
-        assert!(sim.stats().compiled_settles > before, "rank walks resume");
+        assert!(sim.stats().lowered_settles > before, "rank walks resume");
         assert!(sim.compile_fallback_reason().is_none());
     }
 
     #[test]
-    fn compiled_vcd_trace_is_bit_identical_to_event_driven() {
+    fn lowered_vcd_trace_is_bit_identical_to_event_driven() {
         let render = |mode: SchedMode| -> String {
             let mut sim = Simulator::with_mode(mode);
             let q = sim.add_signal("q", 8).unwrap();
@@ -3341,7 +2661,7 @@ mod tests {
             });
             let rec = sim.add_component(crate::vcd::VcdRecorder::new("vcd", vec![q, d]));
             sim.reset().unwrap();
-            if mode == SchedMode::Compiled {
+            if mode == SchedMode::Lowered {
                 assert!(sim.compile().unwrap());
             }
             sim.run(8).unwrap();
@@ -3349,12 +2669,12 @@ mod tests {
                 .unwrap()
                 .render(sim.bus())
         };
-        assert_eq!(render(SchedMode::Compiled), render(SchedMode::EventDriven));
+        assert_eq!(render(SchedMode::Lowered), render(SchedMode::EventDriven));
     }
 
     #[test]
-    fn compiled_toggles_match_event_driven() {
-        let runs: Vec<SimStats> = [SchedMode::EventDriven, SchedMode::Compiled]
+    fn lowered_toggles_match_event_driven() {
+        let runs: Vec<SimStats> = [SchedMode::EventDriven, SchedMode::Lowered]
             .into_iter()
             .map(|mode| {
                 let (mut sim, _) = multi_counter_sim(mode, 8);
@@ -3363,9 +2683,9 @@ mod tests {
                 sim.stats()
             })
             .collect();
-        let (reference, compiled) = (&runs[0], &runs[1]);
-        assert_eq!(compiled.total_toggles(), reference.total_toggles());
-        for (s, rs) in compiled.signals.iter().zip(&reference.signals) {
+        let (reference, lowered) = (&runs[0], &runs[1]);
+        assert_eq!(lowered.total_toggles(), reference.total_toggles());
+        for (s, rs) in lowered.signals.iter().zip(&reference.signals) {
             assert_eq!(
                 (s.name.as_str(), s.toggles),
                 (rs.name.as_str(), rs.toggles),
@@ -3423,7 +2743,7 @@ mod tests {
         let (mut warm, q_warm) = unreset_counter_sim();
         warm.set_telemetry(TelemetryLevel::Counters);
         warm.install_plan(&plan).unwrap();
-        assert_eq!(warm.mode(), SchedMode::Compiled);
+        assert_eq!(warm.mode(), SchedMode::Lowered);
         warm.reset().unwrap();
         warm.run(9).unwrap();
         assert_eq!(
@@ -3434,8 +2754,8 @@ mod tests {
         let stats = warm.stats();
         assert_eq!(stats.plan_installs, 1);
         assert!(
-            stats.compiled_settles > 0,
-            "the installed schedule actually ran compiled walks"
+            stats.lowered_settles > 0,
+            "the installed schedule actually ran rank walks"
         );
         // The plan survives the whole run: exporting again round-trips.
         let again = warm.export_plan().expect("plan still active");
@@ -3545,7 +2865,7 @@ mod tests {
         let reference = run(SchedMode::FullSweep);
         // `slow` fires at t = 0, 3, 6, 9 — four edges in twelve steps.
         assert_eq!(reference[11], (12, 4));
-        for mode in ALL_MODES {
+        for mode in SchedMode::ALL {
             assert_eq!(run(mode), reference, "{mode:?}");
         }
     }

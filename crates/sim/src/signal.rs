@@ -21,11 +21,10 @@ pub(crate) const DRIVER_POKE: usize = usize::MAX;
 
 /// Signal read/drive access as seen from [`crate::Component::eval`].
 ///
-/// Two implementations exist: the exclusive [`SignalBus`] handed out
-/// by the sequential schedulers, and [`SplitBus`], the snapshot/log
-/// pair used by [`crate::SchedMode::Parallel`] workers. Component
-/// implementations written against this trait run unchanged under
-/// every scheduling mode.
+/// The delta-cycle schedulers hand out the [`SignalBus`] itself; the
+/// lowered rank walk hands out a view of its bit-packed signal arena.
+/// Component implementations written against this trait run unchanged
+/// under every scheduling mode.
 pub trait BusAccess {
     /// Reads the current value of a signal.
     ///
@@ -102,9 +101,7 @@ struct Slot {
     /// Telemetry: settled-value changes (counted once per pass, at
     /// pass end, so transient intra-pass states never count).
     toggles: u64,
-    /// Telemetry: accepted `drive` calls. Parallel-mode drives are
-    /// replayed through [`SignalBus::drive`] at ordered commit, so the
-    /// count is identical at every thread count.
+    /// Telemetry: accepted `drive` calls.
     drives: u64,
 }
 
@@ -133,8 +130,8 @@ pub struct SignalBus {
     /// Slots that newly gained a second distinct driver and have not
     /// yet been reported to the scheduler.
     new_shared: Vec<usize>,
-    /// Total `(slot, driver)` pairs ever recorded. The parallel
-    /// scheduler compares this against the count its island partition
+    /// Total `(slot, driver)` pairs ever recorded. The lowered
+    /// scheduler compares this against the count its levelized plan
     /// was built from to detect newly discovered drivers cheaply.
     driver_links: usize,
     /// The driver tag recorded for subsequent `drive` calls.
@@ -339,11 +336,6 @@ impl SignalBus {
         self.slots[slot].last_changer
     }
 
-    /// Whether a slot was written during the current settle iteration.
-    pub(crate) fn written_this_pass(&self, slot: usize) -> bool {
-        self.slots[slot].written_this_pass
-    }
-
     /// Total `(slot, driver)` pairs ever recorded (monotonic).
     pub(crate) fn driver_link_count(&self) -> usize {
         self.driver_links
@@ -444,248 +436,6 @@ impl BusAccess for SignalBus {
 
     fn name(&self, id: SignalId) -> Result<&str, SimError> {
         SignalBus::name(self, id)
-    }
-}
-
-/// Read-only view of the bus used by [`crate::SchedMode::Parallel`]
-/// workers: the pass-start snapshot (the real [`SignalBus`], borrowed
-/// immutably across all workers) overlaid with the values the owning
-/// worker's island committed earlier in the same pass.
-///
-/// Islands are signal-disjoint, so a worker observing only its own
-/// overlay sees exactly what the sequential event-driven scheduler
-/// would have shown it at the same point in the pass.
-pub struct BusReader<'a> {
-    bus: &'a SignalBus,
-    /// Current pass serial; overlay entries tagged with it are live.
-    wave: u64,
-    overlay_wave: &'a [u64],
-    overlay_val: &'a [LogicVector],
-}
-
-impl<'a> BusReader<'a> {
-    pub(crate) fn new(
-        bus: &'a SignalBus,
-        wave: u64,
-        overlay_wave: &'a [u64],
-        overlay_val: &'a [LogicVector],
-    ) -> Self {
-        Self {
-            bus,
-            wave,
-            overlay_wave,
-            overlay_val,
-        }
-    }
-
-    /// Reads the effective value: worker overlay first, snapshot
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] for a stale id.
-    pub fn read(&self, id: SignalId) -> Result<LogicVector, SimError> {
-        if self.overlay_wave.get(id.0).is_some_and(|&w| w == self.wave) {
-            return Ok(self.overlay_val[id.0]);
-        }
-        self.bus.read(id)
-    }
-
-    /// Integer read with protocol-error attribution, as
-    /// [`SignalBus::read_u64`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Protocol`] if the value contains `X`/`Z`.
-    pub fn read_u64(&self, id: SignalId, component: &str) -> Result<u64, SimError> {
-        let v = self.read(id)?;
-        v.to_u64().ok_or_else(|| SimError::Protocol {
-            component: component.to_owned(),
-            message: format!(
-                "signal `{}` is undefined ({v})",
-                self.bus.name(id).unwrap_or("?")
-            ),
-        })
-    }
-
-    /// The width of a signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] for a stale id.
-    pub fn width(&self, id: SignalId) -> Result<usize, SimError> {
-        self.bus.width(id)
-    }
-
-    /// The name of a signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] for a stale id.
-    pub fn name(&self, id: SignalId) -> Result<&str, SimError> {
-        self.bus.name(id)
-    }
-
-    /// Whether the signal already carries a write this pass (testbench
-    /// poke on the snapshot, or an earlier drive in this worker's
-    /// islands) — the condition under which a new drive resolves
-    /// against the current value instead of replacing it.
-    fn written(&self, slot: usize) -> bool {
-        self.overlay_wave.get(slot).is_some_and(|&w| w == self.wave)
-            || self.bus.written_this_pass(slot)
-    }
-}
-
-/// Per-worker drive buffer for one component evaluation under
-/// [`crate::SchedMode::Parallel`].
-///
-/// Raw drives are recorded in call order; the scheduler replays them
-/// into the real [`SignalBus`] in component registration order, so
-/// multi-driver resolution, dirty tracking and driver attribution are
-/// bit-identical to the sequential pass. A small resolved overlay
-/// mirrors what the bus value would be mid-pass, serving same-eval
-/// read-back.
-#[derive(Debug, Default)]
-pub struct DriveLog {
-    /// Drives in call order, exactly as made.
-    raw: Vec<(SignalId, LogicVector)>,
-    /// Resolved value per driven slot (linear scan: components drive a
-    /// handful of signals).
-    resolved: Vec<(usize, LogicVector)>,
-}
-
-impl DriveLog {
-    /// Records a drive, validating against the reader's snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::SignalWidth`] on width mismatch or
-    /// [`SimError::UnknownSignal`] for a stale id.
-    pub fn drive(
-        &mut self,
-        reader: &BusReader<'_>,
-        id: SignalId,
-        value: LogicVector,
-    ) -> Result<(), SimError> {
-        let width = reader.width(id)?;
-        if width != value.width() {
-            return Err(SimError::SignalWidth {
-                signal: reader.name(id)?.to_owned(),
-                expected: width,
-                found: value.width(),
-            });
-        }
-        let prior = self
-            .resolved
-            .iter()
-            .find(|(s, _)| *s == id.0)
-            .map(|&(_, v)| v);
-        let new = match prior {
-            Some(cur) => cur.resolve(&value).map_err(SimError::from)?,
-            None if reader.written(id.0) => {
-                reader.read(id)?.resolve(&value).map_err(SimError::from)?
-            }
-            None => value,
-        };
-        self.raw.push((id, value));
-        match self.resolved.iter_mut().find(|(s, _)| *s == id.0) {
-            Some((_, v)) => *v = new,
-            None => self.resolved.push((id.0, new)),
-        }
-        Ok(())
-    }
-
-    /// Records an integer drive, as [`SignalBus::drive_u64`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DriveLog::drive`], plus width overflow from the value.
-    pub fn drive_u64(
-        &mut self,
-        reader: &BusReader<'_>,
-        id: SignalId,
-        value: u64,
-    ) -> Result<(), SimError> {
-        let width = reader.width(id)?;
-        let v = LogicVector::from_u64(value, width).map_err(SimError::from)?;
-        self.drive(reader, id, v)
-    }
-
-    /// Reads through the log: own resolved writes first, then the
-    /// reader's overlay/snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownSignal`] for a stale id.
-    pub fn read(&self, reader: &BusReader<'_>, id: SignalId) -> Result<LogicVector, SimError> {
-        if let Some(&(_, v)) = self.resolved.iter().find(|(s, _)| *s == id.0) {
-            return Ok(v);
-        }
-        reader.read(id)
-    }
-
-    /// The raw drives recorded so far, in call order.
-    pub(crate) fn raw(&self) -> &[(SignalId, LogicVector)] {
-        &self.raw
-    }
-
-    /// The per-slot resolved values of this log.
-    pub(crate) fn resolved(&self) -> &[(usize, LogicVector)] {
-        &self.resolved
-    }
-
-    /// Clears the log for the next component evaluation.
-    pub(crate) fn clear(&mut self) {
-        self.raw.clear();
-        self.resolved.clear();
-    }
-}
-
-/// [`BusAccess`] adapter pairing a [`BusReader`] with a [`DriveLog`],
-/// so the default [`crate::Component::eval_split`] can run any
-/// existing `eval` implementation unchanged on a parallel worker.
-pub struct SplitBus<'r, 'l> {
-    reader: &'r BusReader<'r>,
-    log: &'l mut DriveLog,
-}
-
-impl<'r, 'l> SplitBus<'r, 'l> {
-    /// Pairs a snapshot reader with a drive log.
-    pub fn new(reader: &'r BusReader<'r>, log: &'l mut DriveLog) -> Self {
-        Self { reader, log }
-    }
-}
-
-impl BusAccess for SplitBus<'_, '_> {
-    fn read(&self, id: SignalId) -> Result<LogicVector, SimError> {
-        self.log.read(self.reader, id)
-    }
-
-    fn read_u64(&self, id: SignalId, component: &str) -> Result<u64, SimError> {
-        let v = self.log.read(self.reader, id)?;
-        v.to_u64().ok_or_else(|| SimError::Protocol {
-            component: component.to_owned(),
-            message: format!(
-                "signal `{}` is undefined ({v})",
-                self.reader.name(id).unwrap_or("?")
-            ),
-        })
-    }
-
-    fn drive(&mut self, id: SignalId, value: LogicVector) -> Result<(), SimError> {
-        self.log.drive(self.reader, id, value)
-    }
-
-    fn drive_u64(&mut self, id: SignalId, value: u64) -> Result<(), SimError> {
-        self.log.drive_u64(self.reader, id, value)
-    }
-
-    fn width(&self, id: SignalId) -> Result<usize, SimError> {
-        self.reader.width(id)
-    }
-
-    fn name(&self, id: SignalId) -> Result<&str, SimError> {
-        self.reader.name(id)
     }
 }
 

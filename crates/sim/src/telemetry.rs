@@ -4,8 +4,8 @@
 //! lightweight counters that turn the simulator into a measuring
 //! instrument: per-component evaluation counts and cumulative
 //! evaluation time, per-settle delta-pass depth and wake-set sizes,
-//! island/worker shapes under [`crate::SchedMode::Parallel`], and
-//! per-signal toggle activity — the standard proxy for switching
+//! fallback causes of the lowered scheduler, and per-signal toggle
+//! activity — the standard proxy for switching
 //! power. Everything is gated on a [`TelemetryLevel`] carried as a
 //! plain enum field: at [`TelemetryLevel::Off`] (the default) the hot
 //! paths execute a single predicted-not-taken branch and touch no
@@ -15,9 +15,9 @@
 //!   reads; per-pass cost is a handful of increments proportional to
 //!   activity.
 //! * [`TelemetryLevel::Full`] — counters plus wall-clock spans
-//!   (steps, settle passes, parallel waves, individual component
-//!   evaluations), exportable as a Chrome trace-event JSON that loads
-//!   in `chrome://tracing` and Perfetto.
+//!   (steps, settle passes, individual component evaluations),
+//!   exportable as a Chrome trace-event JSON that loads in
+//!   `chrome://tracing` and Perfetto.
 //!
 //! Snapshots are taken with [`crate::Simulator::stats`], which returns
 //! a [`SimStats`]: a plain, serialisation-friendly struct with a
@@ -28,16 +28,13 @@
 //!
 //! Because every scheduling mode produces bit-identical signal traces,
 //! the *settled toggle counts* ([`SignalStats::toggles`]) are
-//! identical across `FullSweep`, `EventDriven` and `Parallel` at any
-//! thread count. Component *eval counts* are identical between
-//! `EventDriven` and `Parallel` (parallel waves are the event
-//! scheduler's wake sets); `FullSweep` evaluates every component in
-//! every pass by definition, so its eval counts are the upper bound
-//! the event scheduler is measured against.
+//! identical across `FullSweep` and `EventDriven`. `FullSweep`
+//! evaluates every component in every pass by definition, so its eval
+//! counts are the upper bound the event scheduler is measured against.
 //!
-//! [`crate::SchedMode::Compiled`] settles in a single rank walk, so it
+//! [`crate::SchedMode::Lowered`] settles in a single rank walk, so it
 //! has no delta passes to count per-pass activity against: each
-//! compiled settle counts as one pass, toggles credit the *net*
+//! lowered settle counts as one pass, toggles credit the *net*
 //! per-settle value change (identical to the other modes except in
 //! transient multi-pass oscillations that settle back to their
 //! starting value), and eval/drive counts are lower by design — that
@@ -56,19 +53,20 @@ pub(crate) const WAKE_FORENSICS_DEPTH: usize = 4;
 /// the cap are dropped (and counted in [`SimStats::trace_dropped`]).
 const TRACE_EVENT_CAP: usize = 1_000_000;
 
-/// Why a settle (or a component's lowering) left its mode's fast path.
+/// Why a settle (or a component's lowering, or a multi-rate step) left
+/// the lowered scheduler's fast path.
 ///
-/// Every fallback the compiled, lowered and parallel schedulers take
-/// is counted under exactly one of these causes — the typed,
+/// Every fallback the lowered scheduler takes is counted under exactly
+/// one of these causes — the typed,
 /// aggregatable face of the free-text [`SimStats::notes`] strings,
 /// which remain for human output. A service aggregating thousands of
 /// jobs sums these counters per cause instead of string-matching
 /// notes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackCause {
-    /// The compiled/lowered plan was missing or stale, so the settle
-    /// ran event-driven to (re)discover driver links before freezing a
-    /// schedule. Every compiled-mode simulator pays at least one.
+    /// The levelized plan was missing or stale, so the settle ran
+    /// event-driven to (re)discover driver links before freezing a
+    /// schedule. Every lowered-mode simulator pays at least one.
     Rebuild,
     /// A full re-evaluation was pending (reset, mode switch, device
     /// mutation), which the event scheduler handles.
@@ -77,13 +75,10 @@ pub enum FallbackCause {
     /// [`crate::Sensitivity::Always`]); every settle permanently falls
     /// back to event-driven evaluation.
     NonLevelizable,
-    /// A compiled walk observed a `(signal, driver)` link the schedule
-    /// was not built with; the settle re-ran event-driven and the
-    /// schedule is rebuilt.
+    /// A rank walk observed a `(signal, driver)` link the schedule was
+    /// not built with; the settle re-ran event-driven and the schedule
+    /// is rebuilt.
     StaleDriver,
-    /// [`crate::SchedMode::Parallel`] ran a settle sequentially (one
-    /// worker, undeclared reads, or an unvalidated island partition).
-    ParallelSequential,
     /// A component kept its interpreted `eval` on the lowered rank
     /// walk because its netlist shape cannot lower to a word-level op
     /// stream (counted once per component per lowering pass).
@@ -92,13 +87,14 @@ pub enum FallbackCause {
     /// the lowered fast path surrendered its input memos (every lowered
     /// clocked unit is re-marked dirty even though its own domain may
     /// not have ticked) — the event-driven-shaped cost multiple clock
-    /// domains impose on the compiled/lowered schedulers.
+    /// domains impose on the lowered scheduler. Counted once per such
+    /// step, not per settle.
     MultiDomain,
 }
 
 impl FallbackCause {
     /// Number of distinct causes (the length of [`FallbackCause::ALL`]).
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// Every cause, in counter order.
     pub const ALL: [FallbackCause; FallbackCause::COUNT] = [
@@ -106,7 +102,6 @@ impl FallbackCause {
         FallbackCause::WakeAll,
         FallbackCause::NonLevelizable,
         FallbackCause::StaleDriver,
-        FallbackCause::ParallelSequential,
         FallbackCause::LoweredComponent,
         FallbackCause::MultiDomain,
     ];
@@ -119,9 +114,24 @@ impl FallbackCause {
             FallbackCause::WakeAll => 1,
             FallbackCause::NonLevelizable => 2,
             FallbackCause::StaleDriver => 3,
-            FallbackCause::ParallelSequential => 4,
-            FallbackCause::LoweredComponent => 5,
-            FallbackCause::MultiDomain => 6,
+            FallbackCause::LoweredComponent => 4,
+            FallbackCause::MultiDomain => 5,
+        }
+    }
+
+    /// Whether each count of this cause is one settle that fell back
+    /// to the event scheduler. Exactly these causes sum to
+    /// [`SimStats::fallback_settles`]; the others count components
+    /// ([`FallbackCause::LoweredComponent`]) or steps
+    /// ([`FallbackCause::MultiDomain`]).
+    #[must_use]
+    pub fn counts_settles(self) -> bool {
+        match self {
+            FallbackCause::Rebuild
+            | FallbackCause::WakeAll
+            | FallbackCause::NonLevelizable
+            | FallbackCause::StaleDriver => true,
+            FallbackCause::LoweredComponent | FallbackCause::MultiDomain => false,
         }
     }
 
@@ -133,7 +143,6 @@ impl FallbackCause {
             FallbackCause::WakeAll => "wake_all",
             FallbackCause::NonLevelizable => "non_levelizable",
             FallbackCause::StaleDriver => "stale_driver",
-            FallbackCause::ParallelSequential => "parallel_sequential",
             FallbackCause::LoweredComponent => "lowered_component",
             FallbackCause::MultiDomain => "multi_domain",
         }
@@ -171,16 +180,14 @@ impl TelemetryLevel {
 /// epoch (the moment telemetry was enabled).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span name (component instance, `step`, `settle`, `wave`, ...).
+    /// Span name (component instance, `cycle N`, `pass (N woken)`).
     pub name: String,
-    /// Category: `step`, `pass`, `wave`, `island` or `eval`.
+    /// Category: `step`, `pass` or `eval`.
     pub cat: &'static str,
     /// Start, nanoseconds since the telemetry epoch.
     pub ts_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Logical thread: 0 is the scheduler, workers are 1-based.
-    pub tid: u32,
 }
 
 /// Per-component counters in a [`SimStats`] snapshot.
@@ -208,9 +215,8 @@ pub struct SignalStats {
     /// switching-activity proxy. Bit-identical across scheduling
     /// modes.
     pub toggles: u64,
-    /// Raw `drive` calls accepted by the bus (parallel-mode drives are
-    /// counted at ordered commit, so the count matches the sequential
-    /// schedulers exactly).
+    /// Raw `drive` calls accepted by the bus (for the lowered walk,
+    /// drives into its arena).
     pub drives: u64,
 }
 
@@ -240,51 +246,33 @@ pub struct SimStats {
     pub components: Vec<ComponentStats>,
     /// Per-signal activity, in declaration order.
     pub signals: Vec<SignalStats>,
-    /// Passes evaluated as multi-island parallel waves.
-    pub parallel_waves: u64,
-    /// Parallel-mode passes evaluated inline (single island or below
-    /// the wake-size floor).
-    pub inline_waves: u64,
-    /// Parallel-mode settles that fell back to the sequential event
-    /// scheduler (validation settles, `Sensitivity::Always` designs,
-    /// `threads <= 1`), plus compiled-mode settles that fell back
-    /// (build/validation settles, invalidated schedules, designs that
-    /// cannot be levelized).
+    /// Lowered-mode settles that fell back to the event scheduler
+    /// (build/validation settles, pending full re-evaluations,
+    /// invalidated schedules, designs that cannot be levelized).
     pub fallback_settles: u64,
     /// Fallback events by typed cause, indexed by
-    /// [`FallbackCause::index`]. The settle-shaped causes sum to
-    /// [`SimStats::fallback_settles`];
-    /// [`FallbackCause::LoweredComponent`] counts components, not
-    /// settles, so it sits outside that sum.
+    /// [`FallbackCause::index`]. The causes for which
+    /// [`FallbackCause::counts_settles`] holds sum to
+    /// [`SimStats::fallback_settles`]; the others count components
+    /// ([`FallbackCause::LoweredComponent`]) or partial-firing steps
+    /// ([`FallbackCause::MultiDomain`]), so they sit outside that sum.
     pub fallback_causes: [u64; FallbackCause::COUNT],
-    /// Settles executed as a single compiled rank walk
-    /// ([`crate::SchedMode::Compiled`]).
-    pub compiled_settles: u64,
-    /// Settles executed as a rank walk with lowered op-stream
-    /// execution ([`crate::SchedMode::Lowered`]). Disjoint from
-    /// [`SimStats::compiled_settles`]: a settle counts under exactly
-    /// one of the two depending on the active mode.
+    /// Settles executed as a single rank walk with lowered op-stream
+    /// execution ([`crate::SchedMode::Lowered`]).
     pub lowered_settles: u64,
     /// Word-level ops executed by lowered components across all
     /// lowered settles (memo-skipped walks contribute zero).
     pub ops_executed: u64,
-    /// Compiled schedules installed from a cached [`crate::CompiledPlan`]
+    /// Levelized schedules installed from a cached [`crate::CompiledPlan`]
     /// ([`crate::Simulator::install_plan`]) instead of being levelized
     /// locally — the per-simulator face of a plan-cache hit.
     pub plan_installs: u64,
-    /// Component count per levelized rank of the active compiled
-    /// schedule (index = rank; empty when no compiled schedule is
-    /// active).
+    /// Component count per levelized rank of the active schedule
+    /// (index = rank; empty when no levelized schedule is active).
     pub compiled_ranks: Vec<u64>,
     /// One-line scheduler notes (fallback reasons, schedule
     /// invalidations), deduplicated.
     pub notes: Vec<String>,
-    /// Component count per connectivity island, by island, from the
-    /// current partition (empty until a parallel partition is built).
-    pub island_sizes: Vec<u64>,
-    /// Components evaluated per worker slot across all parallel waves
-    /// (index = worker).
-    pub worker_evals: Vec<u64>,
     /// Component names of the last few wake sets, most recent last —
     /// forensics for [`crate::SimError::NoConvergence`]: on a
     /// non-converging settle these are the components still chasing
@@ -297,9 +285,7 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Total component evaluations. Identical between
-    /// [`crate::SchedMode::EventDriven`] and
-    /// [`crate::SchedMode::Parallel`] at any thread count.
+    /// Total component evaluations.
     #[must_use]
     pub fn total_evals(&self) -> u64 {
         self.components.iter().map(|c| c.evals).sum()
@@ -343,7 +329,7 @@ impl SimStats {
     }
 
     /// Renders a human-readable report: totals, convergence depth,
-    /// island shapes, and the top components and signals by activity.
+    /// fallbacks, and the top components and signals by activity.
     #[must_use]
     pub fn report(&self) -> String {
         let mut out = String::new();
@@ -370,27 +356,16 @@ impl SimStats {
             self.total_toggles(),
             self.total_drives(),
         );
-        if self.parallel_waves + self.inline_waves + self.fallback_settles > 0 {
+        if self.lowered_settles > 0 || !self.compiled_ranks.is_empty() {
             let _ = writeln!(
                 out,
-                "  parallel: {} waves fanned out, {} inline, {} fallback settles",
-                self.parallel_waves, self.inline_waves, self.fallback_settles
-            );
-        }
-        if self.compiled_settles > 0 || !self.compiled_ranks.is_empty() {
-            let _ = writeln!(
-                out,
-                "  compiled: {} rank-walk settles, {} ranks (components per rank: {:?})",
-                self.compiled_settles,
+                "  lowered: {} rank-walk settles, {} word ops executed, {} fallback settles, \
+                 {} ranks (components per rank: {:?})",
+                self.lowered_settles,
+                self.ops_executed,
+                self.fallback_settles,
                 self.compiled_ranks.len(),
                 self.compiled_ranks
-            );
-        }
-        if self.lowered_settles > 0 || self.ops_executed > 0 {
-            let _ = writeln!(
-                out,
-                "  lowered: {} op-stream settles, {} word ops executed",
-                self.lowered_settles, self.ops_executed
             );
         }
         if self.fallback_causes.iter().any(|&n| n > 0) {
@@ -404,23 +379,12 @@ impl SimStats {
         if self.plan_installs > 0 {
             let _ = writeln!(
                 out,
-                "  compiled: {} schedule(s) installed from cached plans",
+                "  lowered: {} schedule(s) installed from cached plans",
                 self.plan_installs
             );
         }
         for note in &self.notes {
             let _ = writeln!(out, "  note: {note}");
-        }
-        if !self.island_sizes.is_empty() {
-            let _ = writeln!(
-                out,
-                "  islands: {} (components per island: {:?})",
-                self.island_sizes.len(),
-                self.island_sizes
-            );
-        }
-        if self.worker_evals.iter().any(|&n| n > 0) {
-            let _ = writeln!(out, "  worker evals: {:?}", self.worker_evals);
         }
         let mut comps: Vec<&ComponentStats> = self.components.iter().collect();
         comps.sort_by(|a, b| b.evals.cmp(&a.evals).then_with(|| a.name.cmp(&b.name)));
@@ -469,8 +433,7 @@ impl SimStats {
     /// Renders the recorded spans as Chrome trace-event JSON
     /// (`{"traceEvents": [...]}` object format), loadable in
     /// `chrome://tracing` and Perfetto. Timestamps are microseconds
-    /// since the telemetry epoch; `tid` 0 is the scheduler thread,
-    /// workers are 1-based.
+    /// since the telemetry epoch.
     #[must_use]
     pub fn chrome_trace(&self) -> String {
         let mut out = String::with_capacity(64 + self.trace.len() * 96);
@@ -479,10 +442,9 @@ impl SimStats {
             let sep = if i + 1 == self.trace.len() { "" } else { "," };
             let _ = writeln!(
                 out,
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}{sep}",
+                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{:.3},\"dur\":{:.3}}}{sep}",
                 json_string(&ev.name),
                 ev.cat,
-                ev.tid,
                 ev.ts_ns as f64 / 1e3,
                 ev.dur_ns as f64 / 1e3,
             );
@@ -517,9 +479,7 @@ pub fn json_string(s: &str) -> String {
 /// The live counter state owned by a [`crate::Simulator`].
 ///
 /// All mutation is behind [`TelemetryLevel`] checks so the `Off` path
-/// costs one branch. Parallel-mode counters are merged from per-worker
-/// buffers at ordered commit time — workers never touch this struct,
-/// keeping the wave evaluation free of atomics and locks.
+/// costs one branch.
 #[derive(Debug, Default)]
 pub(crate) struct Telemetry {
     pub(crate) level: TelemetryLevel,
@@ -533,18 +493,14 @@ pub(crate) struct Telemetry {
     pub(crate) max_wake: u64,
     pub(crate) comp_evals: Vec<u64>,
     pub(crate) comp_ns: Vec<u64>,
-    pub(crate) parallel_waves: u64,
-    pub(crate) inline_waves: u64,
     pub(crate) fallback_settles: u64,
     pub(crate) fallback_causes: [u64; FallbackCause::COUNT],
-    pub(crate) compiled_settles: u64,
     pub(crate) lowered_settles: u64,
     pub(crate) ops_executed: u64,
     pub(crate) plan_installs: u64,
     /// Deduplicated one-line scheduler notes (fallbacks,
     /// invalidations) surfaced in [`SimStats::notes`].
     pub(crate) notes: Vec<String>,
-    pub(crate) worker_evals: Vec<u64>,
     /// Ring of the last few wake sets (component indices).
     pub(crate) wake_ring: VecDeque<Vec<usize>>,
     pub(crate) trace: Vec<TraceEvent>,
@@ -580,12 +536,6 @@ impl Telemetry {
         })
     }
 
-    /// The epoch instant, for handing to parallel workers.
-    #[inline]
-    pub(crate) fn epoch(&self) -> Option<Instant> {
-        self.epoch
-    }
-
     /// Grows the per-component counters to `n` components.
     pub(crate) fn ensure_components(&mut self, n: usize) {
         if self.comp_evals.len() < n {
@@ -594,7 +544,7 @@ impl Telemetry {
         }
     }
 
-    /// Records one component evaluation (sequential paths).
+    /// Records one component evaluation.
     #[inline]
     pub(crate) fn record_eval(&mut self, component: usize, dur_ns: u64) {
         self.comp_evals[component] += 1;
@@ -624,16 +574,6 @@ impl Telemetry {
         }
     }
 
-    /// Bulk-appends worker spans, honouring the recording cap.
-    pub(crate) fn extend_spans(&mut self, evs: &mut Vec<TraceEvent>) {
-        let room = TRACE_EVENT_CAP.saturating_sub(self.trace.len());
-        if evs.len() > room {
-            self.trace_dropped += (evs.len() - room) as u64;
-            evs.truncate(room);
-        }
-        self.trace.append(evs);
-    }
-
     /// Records one settle that fell back to the event scheduler,
     /// attributing it to a typed cause.
     #[inline]
@@ -656,14 +596,6 @@ impl Telemetry {
         if !self.notes.iter().any(|n| n == note) {
             self.notes.push(note.to_owned());
         }
-    }
-
-    /// Records a worker-slot evaluation total from a parallel wave.
-    pub(crate) fn record_worker_evals(&mut self, worker: usize, evals: u64) {
-        if self.worker_evals.len() <= worker {
-            self.worker_evals.resize(worker + 1, 0);
-        }
-        self.worker_evals[worker] += evals;
     }
 }
 
@@ -707,14 +639,12 @@ mod tests {
                     cat: "step",
                     ts_ns: 1_000,
                     dur_ns: 2_500,
-                    tid: 0,
                 },
                 TraceEvent {
                     name: "u_fifo".into(),
                     cat: "eval",
                     ts_ns: 1_200,
                     dur_ns: 300,
-                    tid: 1,
                 },
             ],
             ..SimStats::default()

@@ -390,16 +390,14 @@ proptest! {
         let (sweep_vcd, sweep_frames) = run(SchedMode::FullSweep);
         prop_assert_eq!(&event_frames, &sweep_frames);
         prop_assert_eq!(&event_vcd, &sweep_vcd);
-        // The parallel scheduler must reproduce the same waveforms and
-        // frames bit for bit at every thread count.
-        for threads in [1usize, 2, 8] {
-            let (par_vcd, par_frames) = run(SchedMode::Parallel { threads });
-            prop_assert_eq!(&par_frames, &event_frames, "threads={}", threads);
-            prop_assert_eq!(&par_vcd, &event_vcd, "threads={}", threads);
-        }
+        // The lowered rank walk must reproduce the same waveforms and
+        // frames bit for bit.
+        let (lowered_vcd, lowered_frames) = run(SchedMode::Lowered);
+        prop_assert_eq!(&lowered_frames, &event_frames);
+        prop_assert_eq!(&lowered_vcd, &event_vcd);
     }
 
-    /// The two scheduler modes also agree cycle by cycle on a random
+    /// The scheduler modes also agree cycle by cycle on a random
     /// container driven through its iterator: every observable signal
     /// settles to the same value after every step.
     #[test]
@@ -471,23 +469,15 @@ proptest! {
         };
         let reference = run(SchedMode::EventDriven);
         prop_assert_eq!(&run(SchedMode::FullSweep), &reference);
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &run(SchedMode::Parallel { threads }),
-                &reference,
-                "threads={}",
-                threads
-            );
-        }
+        prop_assert_eq!(&run(SchedMode::Lowered), &reference);
     }
 
-    /// Several independent randomized pipelines in ONE simulator: the
-    /// design family with genuinely disjoint connectivity islands,
-    /// where parallel waves actually fan out across workers. Frames
-    /// and waveforms must match the sequential schedulers bit for bit
-    /// at every thread count.
+    /// Several independent randomized pipelines in ONE simulator:
+    /// disjoint connectivity that the lowered walk levelizes as one
+    /// schedule. Frames and waveforms must match the delta-cycle
+    /// schedulers bit for bit.
     #[test]
-    fn parallel_scheduler_matches_on_multi_pipeline(
+    fn lowered_scheduler_matches_on_multi_pipeline(
         pixels in prop::collection::vec(0u64..256, 1..16),
         gap in 0u32..2,
         copies in 2usize..4,
@@ -526,21 +516,17 @@ proptest! {
         let (sweep_vcd, sweep_frames) = run(SchedMode::FullSweep);
         prop_assert_eq!(&event_frames, &sweep_frames);
         prop_assert_eq!(&event_vcd, &sweep_vcd);
-        for threads in [1usize, 2, 8] {
-            let (par_vcd, par_frames) = run(SchedMode::Parallel { threads });
-            prop_assert_eq!(&par_frames, &event_frames, "threads={}", threads);
-            prop_assert_eq!(&par_vcd, &event_vcd, "threads={}", threads);
-        }
+        let (lowered_vcd, lowered_frames) = run(SchedMode::Lowered);
+        prop_assert_eq!(&lowered_frames, &event_frames);
+        prop_assert_eq!(&lowered_vcd, &event_vcd);
     }
 
-    /// Telemetry invariants on the multi-pipeline family: per-component
-    /// eval counts are identical between the event-driven scheduler and
-    /// the parallel scheduler at 1/2/8 threads (parallel waves *are*
-    /// the event wake sets), settled per-signal toggle counts are
-    /// identical across all modes including the full sweep (every mode
-    /// produces bit-identical waveforms), the sweep's eval counts upper-
-    /// bound the event scheduler's, and `TelemetryLevel::Off` leaves
-    /// stats completely empty.
+    /// Telemetry invariants on the multi-pipeline family: settled
+    /// per-signal toggle counts are identical between the event-driven
+    /// scheduler and the full sweep (both produce bit-identical
+    /// waveforms), the sweep's eval counts upper-bound the event
+    /// scheduler's, and `TelemetryLevel::Off` leaves stats completely
+    /// empty.
     #[test]
     fn telemetry_invariants_on_multi_pipeline(
         pixels in prop::collection::vec(0u64..256, 1..8),
@@ -564,20 +550,6 @@ proptest! {
         };
         let reference = run(SchedMode::EventDriven, TelemetryLevel::Counters);
         prop_assert!(reference.total_evals() > 0);
-        for threads in [1usize, 2, 8] {
-            let stats = run(SchedMode::Parallel { threads }, TelemetryLevel::Counters);
-            prop_assert_eq!(
-                stats.total_evals(), reference.total_evals(), "threads={}", threads
-            );
-            for (c, rc) in stats.components.iter().zip(&reference.components) {
-                prop_assert_eq!(&c.name, &rc.name);
-                prop_assert_eq!(c.evals, rc.evals, "component {} threads={}", c.name, threads);
-            }
-            for (s, rs) in stats.signals.iter().zip(&reference.signals) {
-                prop_assert_eq!(s.toggles, rs.toggles, "signal {} threads={}", s.name, threads);
-                prop_assert_eq!(s.drives, rs.drives, "signal {} threads={}", s.name, threads);
-            }
-        }
         let sweep = run(SchedMode::FullSweep, TelemetryLevel::Counters);
         prop_assert_eq!(sweep.total_toggles(), reference.total_toggles());
         for (s, rs) in sweep.signals.iter().zip(&reference.signals) {

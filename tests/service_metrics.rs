@@ -8,7 +8,8 @@
 //! per-job spans render as Perfetto-loadable Chrome traces, and the
 //! disabled mode's job path is observably identical.
 
-use hdp::metagen::sampler::sample_spec;
+use hdp::metagen::sampler::{sample_spec, DesignSpec};
+use hdp::metagen::OpSet;
 use hdp::prelude::*;
 use hdp::service::metrics::Counter;
 use rand::rngs::StdRng;
@@ -225,24 +226,60 @@ fn unknown_verbs_become_wire_errors() {
 
 #[test]
 fn fallback_causes_are_typed_in_telemetry_documents() {
-    // A parallel-mode job with telemetry: its per-settle fallbacks are
+    // A lowered-mode job with telemetry: its per-settle fallbacks
+    // (at least the rebuild settle that freezes the schedule) are
     // attributed to a typed cause, not just a prose note.
     let service = Service::new(8);
     let case = sample_case(5, 6);
     let opts = JobOptions {
-        mode: SchedMode::Parallel { threads: 2 },
         telemetry: true,
         ..JobOptions::default()
     };
     let out = service.run_case(&case, &opts).unwrap();
     let stats = out.stats.expect("telemetry requested");
-    let settle_shaped: u64 = stats
+    assert!(stats.fallback_cause(FallbackCause::Rebuild) > 0);
+    let settle_causes: u64 = stats
         .fallback_cause_counts()
-        .filter(|(c, _)| *c != FallbackCause::LoweredComponent)
+        .filter(|(c, _)| c.counts_settles())
         .map(|(_, n)| n)
         .sum();
     assert_eq!(
-        settle_shaped, stats.fallback_settles,
-        "settle-shaped causes must account for every fallback settle"
+        settle_causes, stats.fallback_settles,
+        "settle-counting causes must account for every fallback settle"
     );
+}
+
+#[test]
+fn sampled_snapshot_reconciles_after_a_multi_rate_job() {
+    // A 1:2 async FIFO fires only one clock domain on every other
+    // step. The lowered scheduler counts each such step as a
+    // `MultiDomain` cause, which is not a fallback settle, so the
+    // service's reconciliation must leave it out of the settle sum.
+    let spec = DesignSpec {
+        family: 11,
+        data_width: 4,
+        depth: 4,
+        addr_width: 8,
+        key_width: 8,
+        wide: 0,
+        write_side: false,
+        ops: OpSet::new(),
+        wr_period: 1,
+        rd_period: 2,
+    };
+    let netlist = spec.instantiate().expect("async FIFO instantiates");
+    let mut rng = StdRng::seed_from_u64(0xCDC);
+    let stimulus = WireStimulus::sample(&netlist, 12, &mut rng);
+    let service = Service::with_obs(4, ObsMode::Sampled);
+    let _ = service.run_case(&Case { spec, stimulus }, &JobOptions::default());
+
+    let snap = service.metrics_snapshot();
+    let multi_domain = snap
+        .fallback_causes
+        .iter()
+        .find(|(c, _)| *c == FallbackCause::MultiDomain)
+        .map_or(0, |&(_, n)| n);
+    assert!(multi_domain > 0, "a 1:2 job has partial-firing steps");
+    let doc = Json::parse(&snap.to_json()).expect("snapshot renders valid JSON");
+    assert_eq!(validate_snapshot(&doc), Vec::<String>::new());
 }
